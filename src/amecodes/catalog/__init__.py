@@ -51,10 +51,6 @@ class CatalogEntry:
             return None
         return CodeParams(self.n, self.k, self.d, self.q)
 
-    @property
-    def is_grid_cell(self) -> bool:
-        return self.file is None
-
 
 def catalog_dir() -> Path:
     """Directory holding the packaged catalog files."""

@@ -14,8 +14,7 @@ One executable, subcommand style:
 
 Exit codes: 0 success / verification passed; 1 verification failed
 (valid run, negative verdict); 2 usage or domain error; 3 resource
-budget exceeded.  Output is deterministic for identical inputs; --jobs
-is accepted for compatibility but kernels are already vectorized.
+budget exceeded.  Output is deterministic for identical inputs.
 """
 
 from __future__ import annotations
@@ -174,6 +173,8 @@ def cmd_rate(args) -> int:
         print(f"p_success per link: {report.p_success:.6g}")
         print(f"rate R*t0: {report.rate_t0:.6g}")
     else:
+        if args.l0 <= 0:
+            raise DomainError(f"--l0 must be a positive link length in km, got {args.l0:g}")
         links = max(1, round(args.ltot / args.l0))
         plan = LinkPlan(args.ltot, links)
         ps = p_success(code, loss_probability(plan.l0, ch))
@@ -196,6 +197,11 @@ def cmd_cost(args) -> int:
 
 
 def cmd_table(args) -> int:
+    if args.nmax < 4 or args.qmax < 2:
+        raise DomainError(
+            f"the optimal-k grid covers n >= 4 and q >= 2; got --nmax {args.nmax}, "
+            f"--qmax {args.qmax}"
+        )
     grid = cat.catalog_grid(args.nmax, args.qmax)
     cells = [(n, q, existence) for (n, q), existence in grid.items()]
     table = optimal_k_table(cells, args.distances, _channel(args))
@@ -284,7 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="amecodes",
         description="stabilizer tables, child-code families, and repeater costs",
     )
-    ap.add_argument("--jobs", type=int, default=1, help="worker hint (kernels vectorize)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="check commutation, independence, distance")

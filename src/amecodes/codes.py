@@ -18,6 +18,7 @@ are visited in the lexicographic order of :func:`~amecodes.pauli.enumerate_error
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -28,7 +29,7 @@ import numpy as np
 from . import linalg
 from .errors import DomainError, ResourceBudgetError
 from .fields import Field
-from .pauli import PauliString, error_count
+from .pauli import PauliString, error_count, sites_from_matrix
 
 DEFAULT_DISTANCE_BUDGET = 10**9
 
@@ -84,7 +85,8 @@ class GeneratorTable:
 
     The expected generator count is m*(n-k) (m = 1 for prime q); k is
     recovered from the count.  ``claimed`` carries the parameters stated
-    by the source, if any.
+    by the source, if any.  The rows' Z_p symplectic matrix is built once,
+    here, and is what every kernel reads; the strings keep text and phases.
     """
 
     field: Field
@@ -107,14 +109,27 @@ class GeneratorTable:
                 raise DomainError(
                     f"{self.claimed.label()} needs {expect} generators, got {len(self.gens)}"
                 )
+        pairs = np.array([g.sites for g in self.gens], dtype=np.int64)
+        mat = self.field.coeff_matrix[pairs].reshape(len(self.gens), 2 * m * self.n)
+        mat.flags.writeable = False
+        object.__setattr__(self, "_matrix", mat)  # not a field: eq/hash/repr unchanged
+
+    @classmethod
+    def from_matrix(
+        cls, field: Field, n: int, mat, claimed: CodeParams | None = None
+    ) -> "GeneratorTable":
+        """The table whose rows are the Z_p vectors of ``mat``, as phase-0 strings."""
+        gens = tuple(PauliString(field, sites) for sites in sites_from_matrix(field, mat, n))
+        return cls(field, n, gens, claimed)
 
     @property
     def k(self) -> int:
         return self.n - len(self.gens) // self.field.m
 
     def symplectic_matrix(self) -> np.ndarray:
-        """Rows are generator coefficient vectors over Z_p (phases dropped)."""
-        return np.array([g.symplectic() for g in self.gens], dtype=np.int64)
+        """Read-only N x 2mn matrix over Z_p, one generator per row (phases
+        dropped), per-site blocks [x coeffs | z coeffs]."""
+        return self._matrix
 
     def params(self, d: int | None = None) -> CodeParams:
         if d is None:
@@ -127,15 +142,35 @@ class GeneratorTable:
         return GeneratorTable(self.field, self.n, self.gens, claimed)
 
 
+@functools.lru_cache(maxsize=None)
+def _trace_form(field: Field, n: int) -> np.ndarray:
+    """Omega = I_n (x) [[0, -G], [G, 0]] mod p, with G = field.gram.
+
+    For Z_p rows u, v of strings E, F, u @ Omega @ v = sum over sites of
+    tr(b*c - a*d) = E.commutation_exp(F) mod p (the trace-symplectic form
+    of Ketkar, Klappenecker, Kumar, Sarvepalli, IEEE TIT 2006,
+    quant-ph/0508070).  Cached per (field, n), hence read-only.
+    """
+    m = field.m
+    site = np.zeros((2 * m, 2 * m), dtype=np.int64)
+    site[:m, m:] = -field.gram
+    site[m:, :m] = field.gram
+    omega = np.kron(np.eye(n, dtype=np.int64), site) % field.p
+    omega.flags.writeable = False
+    return omega
+
+
+def _commutation_map(table: GeneratorTable) -> np.ndarray:
+    """Omega @ M^T mod p: commutation_exp(E, g_j) = E's Z_p row @ column j."""
+    return (_trace_form(table.field, table.n) @ table.symplectic_matrix().T) % table.field.p
+
+
 def check_commutation(table: GeneratorTable) -> tuple[int, int] | None:
     """None when all generator pairs commute, else the first failing pair
-    as 0-based row indices."""
-    gens = table.gens
-    for i in range(len(gens)):
-        for j in range(i + 1, len(gens)):
-            if gens[i].commutation_exp(gens[j]) != 0:
-                return (i, j)
-    return None
+    as 0-based row indices (row-major in the strict upper triangle)."""
+    phases = (table.symplectic_matrix() @ _commutation_map(table)) % table.field.p
+    failing = np.argwhere(np.triu(phases, 1))
+    return (int(failing[0, 0]), int(failing[0, 1])) if len(failing) else None
 
 
 def check_independence(table: GeneratorTable) -> np.ndarray | None:
@@ -156,42 +191,6 @@ def check_independence(table: GeneratorTable) -> np.ndarray | None:
 # -- distance ----------------------------------------------------------------
 
 
-def _commutation_map(table: GeneratorTable) -> np.ndarray:
-    """Matrix A with commutation_exp(E, g_j) = E.symplectic() @ A[:, j] mod p.
-
-    Per site, tr(b*c - a*d) is the bilinear trace form on coefficient
-    vectors; gram is its matrix on the {1, alpha, ...} basis.
-    """
-    f = table.field
-    m, n, p = f.m, table.n, f.p
-    a = np.zeros((2 * m * n, len(table.gens)), dtype=np.int64)
-    gram = f.gram
-    for j, g in enumerate(table.gens):
-        for s, (c, d) in enumerate(g.sites):
-            base = 2 * m * s
-            c_vec = f.coeff_matrix[c]
-            d_vec = f.coeff_matrix[d]
-            a[base : base + m, j] = (-(gram @ d_vec)) % p
-            a[base + m : base + 2 * m, j] = (gram @ c_vec) % p
-    return a
-
-
-def _site_pair_vectors(field: Field) -> np.ndarray:
-    """((q^2)-1, 2m) coefficient blocks of all nonzero (a, b) site pairs,
-    in the lexicographic (a, b) index order used by enumerate_errors."""
-    q, m = field.q, field.m
-    out = np.zeros((q * q - 1, 2 * m), dtype=np.int64)
-    row = 0
-    for a in range(q):
-        for b in range(q):
-            if a == 0 and b == 0:
-                continue
-            out[row, :m] = field.coeff_matrix[a]
-            out[row, m:] = field.coeff_matrix[b]
-            row += 1
-    return out
-
-
 def find_min_undetectable(
     table: GeneratorTable, d_max: int, budget: int = DEFAULT_DISTANCE_BUDGET
 ) -> tuple[int, PauliString] | None:
@@ -204,8 +203,12 @@ def find_min_undetectable(
     """
     f = table.field
     p, m, n, q = f.p, f.m, table.n, f.q
-    a_map = _commutation_map(table)
-    pair_vecs = _site_pair_vectors(f)
+    n_pairs = q * q - 1
+    # Z_p blocks of the nonzero site pairs (a, b), in enumerate_errors order,
+    # and the syndrome of each on each site: site_syn[s, pair, generator]
+    pairs = [(a, b) for a in range(q) for b in range(q) if a or b]
+    pair_vecs = f.coeff_matrix[np.array(pairs)].reshape(n_pairs, 2 * m)
+    site_syn = (pair_vecs @ _commutation_map(table).reshape(n, 2 * m, -1)) % p
     k = table.k
     if k > 0:
         red, pivots = linalg.rref(table.symplectic_matrix(), p)
@@ -217,30 +220,20 @@ def find_min_undetectable(
                 f"distance scan at weight {w} needs {tests_done} commutation tests "
                 f"(budget {budget})"
             )
-        n_pairs = q * q - 1
         for sites in itertools.combinations(range(n), w):
-            # per-site syndrome contributions, then a broadcast sum over
-            # the w-fold cartesian product (lexicographic flat order)
-            parts = []
-            for s in sites:
-                block = a_map[2 * m * s : 2 * m * (s + 1), :]
-                parts.append((pair_vecs @ block) % p)
-            total = parts[0].reshape((n_pairs,) + (1,) * (w - 1) + (-1,))
+            # broadcast sum of the per-site syndromes over the w-fold
+            # cartesian product (lexicographic flat order)
+            total = site_syn[sites[0]].reshape((n_pairs,) + (1,) * (w - 1) + (-1,))
             for t in range(1, w):
                 shape = (1,) * t + (n_pairs,) + (1,) * (w - 1 - t) + (-1,)
-                total = total + parts[t].reshape(shape)
+                total = total + site_syn[sites[t]].reshape(shape)
             flat = (total.reshape(-1, total.shape[-1]) % p).astype(np.int8)
             zero_rows = np.nonzero(~flat.any(axis=1))[0]
             for idx in zero_rows:
-                combo = []
-                rem = int(idx)
-                for _ in range(w):
-                    combo.append(rem % n_pairs)
-                    rem //= n_pairs
-                combo.reverse()
-                err_vec = np.zeros(2 * m * n, dtype=np.int64)
-                for s, pair_idx in zip(sites, combo):
-                    err_vec[2 * m * s : 2 * m * (s + 1)] = pair_vecs[pair_idx]
+                combo = np.unravel_index(idx, (n_pairs,) * w)
+                err_vec = np.zeros((n, 2 * m), dtype=np.int64)
+                err_vec[list(sites)] = pair_vecs[list(combo)]
+                err_vec = err_vec.reshape(-1)
                 if k > 0 and not np.any(linalg.reduce_against(err_vec, red, pivots, p)):
                     continue  # a stabilizer element: degenerate, not a logical
                 return w, PauliString.from_symplectic(f, err_vec, n)
@@ -278,16 +271,11 @@ def subsystem_entropy(table: GeneratorTable, sites: Iterable[int]) -> float:
     if not all(0 <= s < table.n for s in subset):
         raise DomainError(f"sites out of range for n={table.n}")
     f = table.field
-    m, p = f.m, f.p
-    mat = table.symplectic_matrix()
-    complement = [s for s in range(table.n) if s not in subset]
-    cols = [2 * m * s + t for s in complement for t in range(2 * m)]
-    if cols:
-        outside_rank = linalg.rank(mat[:, cols], p)
-    else:
-        outside_rank = 0
+    outside = np.ones(table.n, dtype=bool)
+    outside[subset] = False
+    outside_rank = linalg.rank(table.symplectic_matrix()[:, np.repeat(outside, 2 * f.m)], f.p)
     dim_inside = len(table.gens) - outside_rank  # log_p |S_A|
-    return (len(subset) - dim_inside / m) * math.log2(f.q)
+    return (len(subset) - dim_inside / f.m) * math.log2(f.q)
 
 
 def is_ame(table: GeneratorTable, budget: int = DEFAULT_DISTANCE_BUDGET) -> bool:

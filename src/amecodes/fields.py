@@ -147,8 +147,8 @@ class Field:
     handled either as plain indices through the integer-level methods
     (``add``, ``mul``, ...) or wrapped in :class:`FieldElement` for
     operator syntax.  The numpy tables (``add_table``, ``mul_table``,
-    ``trmul_table``, ``coeff_matrix``, ``gram``) are the kernels the
-    rest of the package vectorizes over.
+    ``trmul_table``, ``coeff_matrix``, ``coeff_index``, ``gram``) are
+    the kernels the rest of the package vectorizes over.
     """
 
     def __init__(self, q: int, modulus: Sequence[int] | None = None):
@@ -238,6 +238,9 @@ class Field:
         self.coeff_matrix = np.array(
             [list(reversed(self._coeffs[i])) for i in range(q)], dtype=np.int64
         )
+        # inverse of coeff_matrix, keyed by the base-p value sum_k c_k p**k
+        self.coeff_index = np.zeros(q, dtype=np.int64)
+        self.coeff_index[self.coeff_matrix @ p ** np.arange(self.m)] = np.arange(q)
         self.coeff_basis = [self._alpha_power(k) for k in range(self.m)]
         # Gram matrix of the trace form on the coefficient basis {1, alpha, ...}
         self.gram = np.array(
@@ -278,10 +281,6 @@ class Field:
             raise DomainError("alpha**(q-1) != 1; broken tables")
 
     # -- integer-index operations -------------------------------------------
-
-    @property
-    def zero_index(self) -> int:
-        return 0
 
     @property
     def one_index(self) -> int:
@@ -332,9 +331,6 @@ class Field:
         if not 0 <= index < self.q:
             raise DomainError(f"element index {index} out of range [0, {self.q})")
         return FieldElement(self, int(index))
-
-    def from_coeffs(self, coeffs: Sequence[int]) -> "FieldElement":
-        return self.element(self.index_of_coeffs(coeffs))
 
     @property
     def zero(self) -> "FieldElement":

@@ -96,11 +96,6 @@ def reduce_against(vec, red: np.ndarray, pivots: list[int], p: int) -> np.ndarra
     return v
 
 
-def in_row_span(vec, mat, p: int) -> bool:
-    red, pivots = rref(mat, p)
-    return not np.any(reduce_against(vec, red, pivots, p))
-
-
 def same_row_span(a, b, p: int) -> bool:
     """True when the two matrices generate identical row spaces mod p."""
     a = _as_matrix(a, p)

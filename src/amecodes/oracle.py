@@ -136,25 +136,30 @@ def ame_projection_codewords(state: StateVector, message_sites: int) -> Codeword
     return CodewordSet(state.field, rest, tuple(words))
 
 
-def _gram_matrix(c: CodewordSet, op: PauliString) -> np.ndarray:
-    """K x K matrix of <w_m| op |w_m'>."""
+def _gram_matrix(words: np.ndarray, op: PauliString) -> np.ndarray:
+    """K x K matrix of <w_m| op |w_m'> for the K codewords as rows of ``words``."""
     perm, factor = dense_action(op)
-    out = np.empty((c.K, c.K), dtype=np.complex128)
-    applied = []
-    for w in c.words:
-        av = np.zeros_like(w.amplitudes)
-        av[perm] = factor * w.amplitudes
-        applied.append(av)
-    for m, wm in enumerate(c.words):
-        for mp in range(c.K):
-            out[m, mp] = np.vdot(wm.amplitudes, applied[mp])
-    return out
+    applied = np.zeros_like(words)
+    applied[:, perm] = factor * words
+    return words.conj() @ applied.T
 
 
 def _scalar_deviation(mat: np.ndarray) -> float:
     """Infinity-norm distance from the nearest scalar multiple of identity."""
     c = np.trace(mat) / mat.shape[0]
     return float(np.max(np.abs(mat - c * np.eye(mat.shape[0]))))
+
+
+def _first_error(c: CodewordSet, w_max: int, flags) -> PauliString | None:
+    """The first error of weight 1..w_max, in enumerate_errors order, whose
+    code-space matrix <w_m| E |w_m'> satisfies ``flags``; None if none does."""
+    _check_budget(c.field, c.n)
+    words = np.array([w.amplitudes for w in c.words])
+    for w in range(1, w_max + 1):
+        for err in enumerate_errors(c.field, c.n, w):
+            if flags(_gram_matrix(words, err)):
+                return err
+    return None
 
 
 def knill_laflamme_check(
@@ -167,12 +172,7 @@ def knill_laflamme_check(
     single operators of weight < d, so the scan enumerates those; the
     returned witness G stands for any pair with E†F = G.
     """
-    _check_budget(c.field, c.n)
-    for w in range(1, d):
-        for err in enumerate_errors(c.field, c.n, w):
-            if _scalar_deviation(_gram_matrix(c, err)) > tol:
-                return err
-    return None
+    return _first_error(c, d - 1, lambda m: _scalar_deviation(m) > tol)
 
 
 def dense_distance(c: CodewordSet, d_max: int, tol: float = KL_TOL) -> int | None:
@@ -183,23 +183,15 @@ def dense_distance(c: CodewordSet, d_max: int, tol: float = KL_TOL) -> int | Non
     of an operator with nonzero expectation value, i.e. of a stabilizer
     element, matching the k = 0 distance convention.
     """
-    _check_budget(c.field, c.n)
-    for w in range(1, min(d_max, c.n) + 1):
-        for err in enumerate_errors(c.field, c.n, w):
-            m = _gram_matrix(c, err)
-            if c.K == 1:
-                if abs(m[0, 0]) > 0.5:
-                    return w
-            elif _scalar_deviation(m) > tol:
-                return w
-    return None
+    if c.K == 1:
+        err = _first_error(c, min(d_max, c.n), lambda m: abs(m[0, 0]) > 0.5)
+    else:
+        err = _first_error(c, min(d_max, c.n), lambda m: _scalar_deviation(m) > tol)
+    return None if err is None else err.weight()
 
 
-def reduced_entropy(state: StateVector, sites) -> float:
-    """Von Neumann entropy (bits) of the reduced state on ``sites``.
-
-    Eigenvalues below 1e-12 count as zero.
-    """
+def _bipartition(state: StateVector, sites) -> np.ndarray:
+    """Amplitudes as a q^|A| x q^(n-|A|) matrix, rows indexed by ``sites``."""
     _check_budget(state.field, state.n)
     subset = sorted(set(sites))
     if not all(0 <= s < state.n for s in subset):
@@ -207,8 +199,15 @@ def reduced_entropy(state: StateVector, sites) -> float:
     q, n = state.field.q, state.n
     psi = state.amplitudes.reshape([q] * n)
     order = subset + [s for s in range(n) if s not in subset]
-    psi = np.transpose(psi, order).reshape(q ** len(subset), -1)
-    sing = np.linalg.svd(psi, compute_uv=False)
+    return np.transpose(psi, order).reshape(q ** len(subset), -1)
+
+
+def reduced_entropy(state: StateVector, sites) -> float:
+    """Von Neumann entropy (bits) of the reduced state on ``sites``.
+
+    Eigenvalues below 1e-12 count as zero.
+    """
+    sing = np.linalg.svd(_bipartition(state, sites), compute_uv=False)
     probs = sing**2
     probs = probs[probs > 1e-12]
     return float(-(probs * np.log2(probs)).sum())
@@ -216,12 +215,7 @@ def reduced_entropy(state: StateVector, sites) -> float:
 
 def reduced_density_matrix(state: StateVector, sites) -> np.ndarray:
     """Reduced density matrix on ``sites`` (partial trace over the rest)."""
-    _check_budget(state.field, state.n)
-    subset = sorted(set(sites))
-    q, n = state.field.q, state.n
-    psi = state.amplitudes.reshape([q] * n)
-    order = subset + [s for s in range(n) if s not in subset]
-    psi = np.transpose(psi, order).reshape(q ** len(subset), -1)
+    psi = _bipartition(state, sites)
     return psi @ psi.conj().T
 
 

@@ -26,7 +26,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import DomainError, FieldMismatchError, ResourceBudgetError
-from .fields import Field, FieldElement
+from .fields import Field
 
 APPLY_DIM_LIMIT = 2**20
 
@@ -78,13 +78,6 @@ class PauliString:
         """Number of sites acting non-trivially."""
         return sum(1 for a, b in self.sites if a or b)
 
-    @property
-    def is_identity(self) -> bool:
-        return self.weight() == 0
-
-    def site_elements(self) -> list[tuple[FieldElement, FieldElement]]:
-        return [(self.field.element(a), self.field.element(b)) for a, b in self.sites]
-
     def _check_peer(self, other: "PauliString") -> None:
         if not isinstance(other, PauliString):
             raise FieldMismatchError(f"expected PauliString, got {type(other).__name__}")
@@ -127,27 +120,10 @@ class PauliString:
             s += f.trace_mul(b, c) - f.trace_mul(a, d)
         return s % f.p
 
-    def symplectic(self) -> np.ndarray:
-        """Coefficient vector over Z_p, per-site blocks [x coeffs | z coeffs]."""
-        f = self.field
-        out = np.zeros(2 * f.m * self.n, dtype=np.int64)
-        for i, (a, b) in enumerate(self.sites):
-            base = 2 * f.m * i
-            out[base : base + f.m] = f.coeff_matrix[a]
-            out[base + f.m : base + 2 * f.m] = f.coeff_matrix[b]
-        return out
-
     @classmethod
     def from_symplectic(cls, field: Field, vec: Sequence[int], n: int, phase_exp: int = 0) -> "PauliString":
-        v = np.asarray(vec, dtype=np.int64) % field.p
-        m = field.m
-        sites = []
-        for i in range(n):
-            base = 2 * m * i
-            a = field.index_of_coeffs(v[base : base + m])
-            b = field.index_of_coeffs(v[base + m : base + 2 * m])
-            sites.append((a, b))
-        return cls(field, tuple(sites), phase_exp)
+        """The string with Z_p coefficient vector ``vec``, per-site blocks [x | z]."""
+        return cls(field, sites_from_matrix(field, vec, n)[0], phase_exp)
 
     # -- text form ---------------------------------------------------------------
 
@@ -156,6 +132,15 @@ class PauliString:
 
     def __str__(self) -> str:
         return " ".join(self.to_tokens())
+
+
+def sites_from_matrix(field: Field, mat, n: int) -> list[tuple[tuple[int, int], ...]]:
+    """Site pairs of each row of a Z_p coefficient matrix (one vector or an
+    N x 2mn array); the inverse of looking the pairs up in coeff_matrix."""
+    m, p = field.m, field.p
+    coeffs = (np.asarray(mat, dtype=np.int64) % p).reshape(-1, n, 2, m)
+    pairs = field.coeff_index[coeffs @ p ** np.arange(m)]
+    return [tuple(map(tuple, row)) for row in pairs.tolist()]
 
 
 def parse_site_token(token: str, q: int) -> tuple[int, int]:

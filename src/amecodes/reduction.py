@@ -33,7 +33,6 @@ from . import linalg
 from .codes import (DEFAULT_DISTANCE_BUDGET, CodeParams, GeneratorTable,
                     check_commutation, check_independence, compute_distance)
 from .errors import DomainError, ReductionError
-from .pauli import PauliString
 
 EVEN = "even"
 ODD = "odd"
@@ -54,10 +53,8 @@ class ReductionFriendlyForm:
     def validate(self) -> None:
         """Check the left block bit-exactly against the staircase pattern."""
         t = self.table
-        f = t.field
-        m = f.m
-        expected = _pattern_matrix(f, len(t.gens), t.n, self.block_width)
-        actual = t.symplectic_matrix()[:, : 2 * m * self.block_width]
+        expected = _pattern_matrix(t.field, len(t.gens), self.block_width)
+        actual = t.symplectic_matrix()[:, : 2 * t.field.m * self.block_width]
         if not np.array_equal(actual, expected):
             raise DomainError("left block does not match the reduction-friendly pattern")
         if (self.layout == ODD) != (self.extra_rows > 0):
@@ -68,19 +65,19 @@ def block_width(table: GeneratorTable) -> int:
     return min(table.n // 2, len(table.gens) // (2 * table.field.m))
 
 
-def _pattern_matrix(field, n_rows: int, n_sites: int, width: int) -> np.ndarray:
-    """Left-block target: the staircase in symplectic coefficients."""
-    m = field.m
-    extra = n_rows - 2 * m * width
-    out = np.zeros((n_rows, 2 * m * width), dtype=np.int64)
-    for j in range(1, width + 1):
-        base_row = extra + 2 * m * (width - j)
-        col = 2 * m * (j - 1)
-        for k in range(m):
-            alpha_k = field.pow(field.alpha_index, k)
-            out[base_row + k, col + m : col + 2 * m] = field.coeff_matrix[alpha_k]
-            out[base_row + m + k, col : col + m] = field.coeff_matrix[alpha_k]
-    return out
+def _as_form(table: GeneratorTable) -> ReductionFriendlyForm:
+    """The form tag of a table assumed to carry the staircase."""
+    width = block_width(table)
+    extra = len(table.gens) - 2 * table.field.m * width
+    return ReductionFriendlyForm(table, width, ODD if extra else EVEN)
+
+
+def _pattern_matrix(field, n_rows: int, width: int) -> np.ndarray:
+    """Left-block target: the staircase in symplectic coefficients, site j's
+    target block on the anti-diagonal below the extra all-identity rows."""
+    stairs = np.kron(np.eye(width, dtype=np.int64)[::-1], _target_block(field))
+    extra = np.zeros((n_rows - len(stairs), stairs.shape[1]), dtype=np.int64)
+    return np.vstack([extra, stairs])
 
 
 def _target_block(field) -> np.ndarray:
@@ -94,10 +91,16 @@ def _target_block(field) -> np.ndarray:
     return t
 
 
-def _greedy_pivots(mat: np.ndarray, rows: list[int], cols: slice, p: int, need: int) -> list[int]:
-    """Lowest-index subset of ``rows`` whose restrictions to ``cols`` span Z_p^need."""
+def _greedy_pivots(mat: np.ndarray, rows: list[int], site: int, m: int, p: int,
+                   uniform: int) -> list[int]:
+    """Lowest-index subset of ``rows`` whose restrictions to ``site`` span Z_p^2m.
+
+    When none exists, ``site`` together with the sites that ``rows`` are
+    cleared on is not maximally mixed: the table is not ``uniform``-uniform.
+    """
+    cols = slice(2 * m * site, 2 * m * (site + 1))
     chosen: list[int] = []
-    stack = np.zeros((0, need), dtype=np.int64)
+    stack = np.zeros((0, 2 * m), dtype=np.int64)
     for r in rows:
         v = mat[r, cols]
         if not np.any(v):
@@ -106,11 +109,11 @@ def _greedy_pivots(mat: np.ndarray, rows: list[int], cols: slice, p: int, need: 
         if linalg.rank(trial, p) > len(chosen):
             chosen.append(r)
             stack = trial
-            if len(chosen) == need:
+            if len(chosen) == 2 * m:
                 return chosen
     raise ReductionError(
-        "no independent pivot on this site: fewer than the required "
-        f"{need} generators act there independently (distance <= 1)"
+        f"no independent pivot on site {site}: fewer than the required {2 * m} "
+        f"generators act there independently, so the table is not {uniform}-uniform"
     )
 
 
@@ -120,11 +123,8 @@ def find_pivot_rows(table: GeneratorTable, site: int) -> list[int]:
     restrictions are span-deficient."""
     if not 0 <= site < table.n:
         raise DomainError(f"site {site} out of range for n={table.n}")
-    f = table.field
-    m = f.m
-    mat = table.symplectic_matrix()
-    cols = slice(2 * m * site, 2 * m * (site + 1))
-    return _greedy_pivots(mat, list(range(len(table.gens))), cols, f.p, 2 * m)
+    rows = list(range(len(table.gens)))
+    return _greedy_pivots(table.symplectic_matrix(), rows, site, table.field.m, table.field.p, 1)
 
 
 def to_reduction_friendly(table: GeneratorTable) -> ReductionFriendlyForm:
@@ -142,57 +142,41 @@ def to_reduction_friendly(table: GeneratorTable) -> ReductionFriendlyForm:
         raise DomainError("generators are dependent")
     f = table.field
     p, m = f.p, f.m
-    n = table.n
     mat = table.symplectic_matrix().copy()
     n_rows = len(table.gens)
     width = block_width(table)
     if width < 1:
         raise DomainError("table too small to canonicalize (needs at least 2m generators)")
-    extra = n_rows - 2 * m * width
     target = _target_block(f)
     target_inv = linalg.inv(target, p)
 
-    position: dict[int, np.ndarray] = {}
     active = list(range(n_rows))
-    fixed_rows: list[np.ndarray] = []
+    stairs: list[int] = []  # pivot rows, last site's first, as they end up
     for j in range(width):
         cols = slice(2 * m * j, 2 * m * (j + 1))
-        sel = _greedy_pivots(mat, active, cols, p, 2 * m)
+        # the active rows are cleared on sites 0..j-1: sites 0..j are tested
+        sel = _greedy_pivots(mat, active, j, m, p, j + 1)
         basis_change = (target @ linalg.inv(mat[sel][:, cols], p)) % p
-        new_rows = (basis_change @ mat[sel]) % p
-        # clear this site from every other row, fixed rows included;
+        mat[sel] = (basis_change @ mat[sel]) % p
+        # clear this site from every other row, earlier pivots included;
         # the new pivots are zero on all earlier sites, so nothing regresses
-        for r in active:
-            if r in sel:
-                continue
-            coeffs = (mat[r, cols] @ target_inv) % p
-            if np.any(coeffs):
-                mat[r] = (mat[r] - coeffs @ new_rows) % p
-        for row in fixed_rows:
-            coeffs = (row[cols] @ target_inv) % p
-            if np.any(coeffs):
-                row[:] = (row - coeffs @ new_rows) % p
-        base = extra + 2 * m * (width - 1 - j)
-        for t in range(2 * m):
-            position[base + t] = new_rows[t]
-            fixed_rows.append(new_rows[t])
+        rest = [r for r in range(n_rows) if r not in sel]
+        coeffs = (mat[rest][:, cols] @ target_inv) % p
+        mat[rest] = (mat[rest] - coeffs @ mat[sel]) % p
+        stairs = sel + stairs
         active = [r for r in active if r not in sel]
 
-    for slot, r in enumerate(active):  # leftover rows: identity left blocks
-        position[slot] = mat[r]
-
-    out_mat = np.vstack([position[i] for i in range(n_rows)])
+    out_mat = mat[active + stairs]  # leftover rows on top: identity left blocks
     if not linalg.same_row_span(out_mat, table.symplectic_matrix(), p):
         raise AssertionError("row operations changed the generated group")  # pragma: no cover
-    gens = tuple(PauliString.from_symplectic(f, out_mat[i], n) for i in range(n_rows))
-    out = GeneratorTable(f, n, gens, table.claimed)
-    form = ReductionFriendlyForm(out, width, ODD if extra else EVEN)
+    form = _as_form(GeneratorTable.from_matrix(f, table.n, out_mat, table.claimed))
     form.validate()
     return form
 
 
 def child_code(form: ReductionFriendlyForm) -> GeneratorTable:
-    """Drop the last 2m rows and the first column: [[n-1, k+1, d-1]]_q.
+    """Drop the last 2m rows and the first site's 2m columns of the matrix:
+    [[n-1, k+1, d-1]]_q.
 
     Raises DomainError when no step remains (either no rows would be
     left or the child's claimed distance would drop below 2).
@@ -210,10 +194,8 @@ def child_code(form: ReductionFriendlyForm) -> GeneratorTable:
                 "the family stops at distance 2"
             )
         claimed = CodeParams(t.n - 1, t.claimed.k + 1, t.claimed.d - 1, t.field.q)
-    gens = tuple(
-        PauliString(t.field, g.sites[1:], 0) for g in t.gens[: len(t.gens) - 2 * m]
-    )
-    return GeneratorTable(t.field, t.n - 1, gens, claimed)
+    rows = t.symplectic_matrix()[: len(t.gens) - 2 * m, 2 * m :]
+    return GeneratorTable.from_matrix(t.field, t.n - 1, rows, claimed)
 
 
 def derive_family(
@@ -227,7 +209,8 @@ def derive_family(
     continuing while the child distance stays >= 2, i.e. children
     k+1 .. floor(n0/2)-1 for a parent AME table.  When ``verify`` is on,
     every member is checked: commutation, independence, and brute-force
-    distance equal to the parameter formula (within ``budget``).
+    distance equal to the parameter formula (within ``budget``); a member
+    that fails raises ReductionError.
     """
     form = to_reduction_friendly(table)
     if table.claimed is not None:
@@ -237,24 +220,25 @@ def derive_family(
         params = CodeParams(
             form.table.n, form.table.k, n0 // 2 + 1 - form.table.k, table.field.q
         )
-        form = ReductionFriendlyForm(form.table.relabel(params), form.block_width, form.layout)
+        form = _as_form(form.table.relabel(params))
     out = [(params, form.table)]
     while params.d - 1 >= 2 and len(form.table.gens) > 2 * table.field.m:
-        child = child_code(form)
-        params = child.claimed
-        extra = len(child.gens) - 2 * table.field.m * block_width(child)
-        form = ReductionFriendlyForm(child, block_width(child), ODD if extra else EVEN)
-        out.append((params, child))
+        form = _as_form(child_code(form))
+        params = form.table.claimed
+        out.append((params, form.table))
     if verify:
+        assumed = "" if table.claimed else " (no d= given: the parent was taken as AME)"
         for params, t in out:
             pair = check_commutation(t)
             if pair is not None:  # pragma: no cover - construction guarantees
-                raise AssertionError(f"family member {params.label()} fails commutation {pair}")
+                raise ReductionError(f"family member {params.label()} fails commutation {pair}")
             if check_independence(t) is not None:  # pragma: no cover
-                raise AssertionError(f"family member {params.label()} is dependent")
+                raise ReductionError(f"family member {params.label()} is dependent")
             d = compute_distance(t, params.d, budget)
             if d != params.d:
-                raise AssertionError(
-                    f"family member {params.label()} has distance {d}, expected {params.d}"
+                measured = d if d is not None else f">{params.d}"
+                raise ReductionError(
+                    f"family member {params.label()} has distance {measured}, "
+                    f"expected {params.d}{assumed}"
                 )
     return out

@@ -128,38 +128,47 @@ def link_grid(l_tot: float) -> np.ndarray:
     return np.arange(1, r_max + 1)
 
 
-def _cost_curve(code: CodeParams, l_tot: float, ch: ChannelParams, numerator: float):
-    """numerator / (L0 * R * t0) over the integer-r grid; t0 cancels."""
+def _minimize_cost(
+    code: CodeParams, l_tot: float, ch: ChannelParams, numerator: float
+) -> tuple[float, LinkPlan, float]:
+    """Minimum of numerator / (L0 * R * t0) over the integer-r grid (t0
+    cancels), its plan, and L0 * R * t0 at that plan."""
+    if code.k == 0:
+        raise DomainError("cost factors need k >= 1 (no information transmitted)")
     r = link_grid(l_tot)
     l0 = l_tot / r
     p_l = 1.0 - ch.eta_c * np.exp(-l0 / ch.l_att)
     ps = _p_success_grid(code, p_l)
     rt0 = code.k * math.log2(code.q) * ps**r
+    throughput = l0 * rt0
     with np.errstate(divide="ignore", over="ignore"):
-        cost = numerator / (l0 * rt0)
-    return r, cost
+        cost = numerator / throughput
+    i = int(np.argmin(cost))
+    return float(cost[i]), LinkPlan(l_tot, int(r[i])), throughput[i]
+
 
 def cost_short_term(code: CodeParams, l_tot: float, ch: ChannelParams) -> tuple[float, LinkPlan]:
     """Minimized hardware cost factor n log2(q) / (L0 R t0) and its argmin."""
-    if code.k == 0:
-        raise DomainError("cost factors need k >= 1 (no information transmitted)")
-    r, cost = _cost_curve(code, l_tot, ch, code.n * math.log2(code.q))
-    i = int(np.argmin(cost))
-    return float(cost[i]), LinkPlan(l_tot, int(r[i]))
+    return _minimize_cost(code, l_tot, ch, code.n * math.log2(code.q))[:2]
 
 
 def cost_long_term(code: CodeParams, l_tot: float, ch: ChannelParams) -> tuple[float, LinkPlan]:
     """Minimized running cost factor n q / (L0 R t0) and its argmin."""
-    if code.k == 0:
-        raise DomainError("cost factors need k >= 1 (no information transmitted)")
-    r, cost = _cost_curve(code, l_tot, ch, code.n * code.q)
-    i = int(np.argmin(cost))
-    return float(cost[i]), LinkPlan(l_tot, int(r[i]))
+    return _minimize_cost(code, l_tot, ch, code.n * code.q)[:2]
 
 
 def cost_report(code: CodeParams, l_tot: float, ch: ChannelParams) -> CostReport:
-    c_st, plan = cost_short_term(code, l_tot, ch)
-    c_lt, _ = cost_long_term(code, l_tot, ch)
+    """Both cost factors at their shared optimal plan, read off one curve.
+
+    Raises DomainError when no link count gives a finite cost (nothing
+    arrives, e.g. eta_c = 0).
+    """
+    c_st, plan, throughput = _minimize_cost(code, l_tot, ch, code.n * math.log2(code.q))
+    if not math.isfinite(c_st):
+        raise DomainError(
+            f"{code.label()} over {l_tot:g} km has no finite cost at any link count"
+        )
+    c_lt = float(code.n * code.q / throughput)
     ps = p_success(code, loss_probability(plan.l0, ch))
     return CostReport(code, l_tot, ps, rate(code, plan, ch), c_st, c_lt, plan)
 
@@ -219,6 +228,8 @@ def figure_rows(
     """Figure data: per (L_tot, code), the rate at fixed L0 and the
     optimized short-term cost.  Keys double as the CSV header."""
     ch = ch or ChannelParams()
+    if rate_l0 <= 0:
+        raise DomainError(f"the fixed link length must be positive, got {rate_l0:g} km")
     rows = []
     for l_tot in l_tots:
         for code in codes:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 
 from amecodes.catalog import catalog_dir
-from amecodes.cli import main
+from amecodes.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -132,3 +132,54 @@ def test_catalog_subcommands(capsys):
     assert code == 0 and "n\\q" in out
     code, _, err = run(capsys, "catalog", "show")
     assert code == 2
+
+
+# -- typed errors: exit 2 with a message, never a traceback or an inf result -------------
+
+TWO_BELL_PAIRS = "code n=4 q=2\ng1: x1 i i z1\ng2: i x1 z1 i\ng3: i z1 x1 i\ng4: z1 i i x1\n"
+NOT_2_UNIFORM = "code n=4 q=2\ng1: x1 z1 i z1\ng2: z1 x1 i z1\ng3: i i x1 z1\ng4: z1 z1 z1 x1\n"
+
+
+def test_rate_zero_link_length_exit_2(capsys):
+    code, out, err = run(capsys, "rate", "--n", "5", "--k", "1", "--d", "3", "--q", "2",
+                         "--ltot", "1000", "--l0", "0")
+    assert code == 2 and out == ""
+    assert "--l0 must be a positive link length" in err
+
+
+def test_cost_and_rate_without_finite_cost_exit_2(capsys):
+    # eta_c = 0 transmits nothing: no link count gives a finite cost
+    for cmd in (["cost"], ["rate", "--optimize"]):
+        code, out, err = run(capsys, *cmd, "--n", "5", "--k", "1", "--d", "3", "--q", "2",
+                             "--ltot", "1000", "--etac", "0")
+        assert code == 2 and "inf" not in out
+        assert "no finite cost" in err
+
+
+def test_table_below_grid_exit_2(capsys):
+    code, out, err = run(capsys, "table", "--nmax", "3")
+    assert code == 2 and out == ""
+    assert "n >= 4 and q >= 2" in err
+
+
+def test_children_distance_miss_exit_2(tmp_path, capsys):
+    bell = tmp_path / "bell.stabtab"
+    bell.write_text(TWO_BELL_PAIRS)
+    code, _, err = run(capsys, "children", str(bell), "--outdir", str(tmp_path / "out"))
+    assert code == 2
+    assert "family member [[4,0,3]]_2 has distance 2, expected 3" in err
+
+
+def test_reduce_names_the_site_that_is_not_uniform(tmp_path, capsys):
+    path = tmp_path / "state.stabtab"
+    path.write_text(NOT_2_UNIFORM)
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code == 0 and "distance: 2" in out
+    for cmd in (["reduce", str(path)], ["children", str(path), "--outdir", str(tmp_path)]):
+        code, _, err = run(capsys, *cmd)
+        assert code == 2
+        assert "no independent pivot on site 1" in err and "not 2-uniform" in err
+
+
+def test_no_jobs_flag():
+    assert "--jobs" not in build_parser().format_help()

@@ -191,6 +191,13 @@ def test_reduced_entropy_examples():
     assert np.allclose(rho, np.eye(3) / 3, atol=1e-10)
 
 
+def test_bipartition_rejects_sites_out_of_range():
+    psi = ame43_state()
+    for fn in (reduced_entropy, reduced_density_matrix):
+        with pytest.raises(DomainError, match="out of range"):
+            fn(psi, [7])
+
+
 def test_reduced_entropy_agrees_with_symplectic_rank_method():
     from amecodes.catalog import load_catalog, load_table
     from amecodes.codes import subsystem_entropy

@@ -5,7 +5,7 @@ import pytest
 
 from amecodes import linalg, stabtab
 from amecodes.codes import (GeneratorTable, check_commutation,
-                            check_independence, compute_distance)
+                            check_independence, compute_distance, subsystem_entropy)
 from amecodes.errors import DomainError, ReductionError
 from amecodes.fields import GF
 from amecodes.pauli import PauliString
@@ -113,6 +113,26 @@ def test_pivot_deficiency_is_distance_one_signal():
         to_reduction_friendly(t)
     with pytest.raises(ReductionError, match="no independent pivot"):
         find_pivot_rows(t, 0)
+
+
+def test_pivot_failure_names_the_site_that_is_not_uniform():
+    # distance 2, yet S({0,1}) = 1 bit: not 2-uniform, so site 1 has no pivot
+    t = stabtab.parse(
+        "code n=4 q=2\ng1: x1 z1 i z1\ng2: z1 x1 i z1\ng3: i i x1 z1\ng4: z1 z1 z1 x1\n"
+    )
+    assert compute_distance(t, 3) == 2
+    assert subsystem_entropy(t, [0, 1]) == 1.0
+    with pytest.raises(ReductionError, match="on site 1: .* not 2-uniform"):
+        to_reduction_friendly(t)
+    assert find_pivot_rows(t, 1) == [0, 1]  # site 1 alone is maximally mixed
+
+
+def test_family_distance_miss_raises_reduction_error():
+    # two Bell pairs: with no d= the parent is taken as AME [[4,0,3]]_2
+    t = stabtab.parse("code n=4 q=2\ng1: x1 i i z1\ng2: i x1 z1 i\ng3: i z1 x1 i\ng4: z1 i i x1\n")
+    with pytest.raises(ReductionError, match=r"\[\[4,0,3\]\]_2 has distance 2, expected 3"):
+        derive_family(t)
+    assert len(derive_family(t, verify=False)) == 2
 
 
 def test_to_reduction_friendly_rejects_broken_tables():

@@ -157,6 +157,30 @@ def test_cost_report_fields():
     assert rep.c_lt / rep.c_st == pytest.approx(2 / math.log2(2))
 
 
+def test_cost_report_reads_both_costs_off_one_curve():
+    rng = random.Random(3)
+    for _ in range(20):
+        code = rng.choice(children_params(rng.randrange(4, 15), rng.choice([2, 3, 5, 7, 8])))
+        l_tot = rng.choice([100.0, 730.0, 1000.0, 5000.0])
+        ch = ChannelParams(rng.uniform(15, 25), rng.uniform(0.9, 1.0))
+        rep = cost_report(code, l_tot, ch)
+        assert (rep.c_st, rep.plan) == cost_short_term(code, l_tot, ch)
+        assert (rep.c_lt, rep.plan) == cost_long_term(code, l_tot, ch)
+
+
+def test_cost_report_refuses_infinite_costs():
+    with pytest.raises(DomainError, match="no finite cost"):
+        cost_report(CodeParams(5, 1, 3, 2), 1000.0, ChannelParams(eta_c=0.0))
+    # optimal_k still ranks a child with no finite cost as a loser
+    ch = ChannelParams(20.0, 0.98)
+    last = children_params(14, 7)[-1]
+    assert last.label() == "[[8,6,2]]_7"
+    assert cost_long_term(last, 10000.0, ch)[0] == math.inf
+    with pytest.raises(DomainError):
+        cost_report(last, 10000.0, ch)
+    assert optimal_k(14, 7, 10000.0, ch) == 2
+
+
 def test_optimal_k_forced_single_child():
     assert optimal_k(4, 3, 1000.0, CH) == 1
     assert optimal_k(4, 3, 10000.0, CH) == 1
@@ -180,3 +204,8 @@ def test_figure_rows_schema_and_monotone_rate():
     assert len(rows) == 2
     assert list(rows[0]) == ["ltot_km", "code", "rate_t0_fixed_l0", "c_st", "opt_l0_km"]
     assert rows[0]["rate_t0_fixed_l0"] >= rows[1]["rate_t0_fixed_l0"]
+
+
+def test_figure_rows_refuses_a_nonpositive_link_length():
+    with pytest.raises(DomainError, match="link length must be positive"):
+        figure_rows([CodeParams(5, 1, 3, 2)], [1000.0], CH, rate_l0=0.0)
