@@ -129,11 +129,19 @@ def cmd_oracle(args) -> int:
             if len(parts) != 2:
                 raise ParseError("state lines are 're im' pairs", args.state, lineno)
             amps.append(complex(float(parts[0]), float(parts[1])))
+        if len(amps) < args.q:
+            raise DomainError(f"a state needs at least q={args.q} amplitudes (one site), "
+                              f"got {len(amps)}")
         n = round(math.log(len(amps), args.q))
         if args.q**n != len(amps):
             raise DomainError(f"{len(amps)} amplitudes is not a power of q={args.q}")
         vec = np.asarray(amps)
-        vec = vec / np.linalg.norm(vec)
+        if not np.isfinite(vec).all():
+            raise DomainError("state amplitudes must be finite numbers")
+        norm = np.linalg.norm(vec)
+        if norm == 0:
+            raise DomainError("the state has all amplitudes zero and cannot be normalized")
+        vec = vec / norm
         cw = CodewordSet(field, n, (StateVector(field, n, vec),))
         print(f"state: n={n}, q={args.q} (normalized input)")
     else:
@@ -236,6 +244,8 @@ def cmd_figure(args) -> int:
         n, q = (int(x) for x in args.ame.split(","))
         from .repeater import children_params
         codes.extend(children_params(n, q))
+        if not codes and not args.include:
+            raise DomainError(f"AME({n},{q}) has no children with distance >= 2")
     for spec_str in args.include or []:
         n, k, d, q = (int(x) for x in spec_str.split(","))
         codes.append(CodeParams(n, k, d, q))

@@ -66,10 +66,10 @@ def _check_budget(field: Field, n: int) -> int:
     return dim
 
 
-def _project_plus_one(op: PauliString, vec: np.ndarray) -> np.ndarray:
-    """(1/p) sum_s g**s applied to vec, with g the order-p lift of op."""
-    p = op.field.p
-    perm, factor = dense_action(op, hermitian_lift=True)
+def _project_plus_one(perm: np.ndarray, factor: np.ndarray, p: int,
+                      vec: np.ndarray) -> np.ndarray:
+    """(1/p) sum_s g**s applied to vec, for the order-p g with dense
+    action (perm, factor)."""
     acc = vec.copy()
     cur = vec
     for _ in range(p - 1):
@@ -93,12 +93,14 @@ def expand_stabilizer(table: GeneratorTable) -> CodewordSet:
         raise DomainError("generators are dependent")
     dim = _check_budget(table.field, table.n)
     K = table.field.q**table.k
+    p = table.field.p
+    actions = [dense_action(g, hermitian_lift=True) for g in table.gens]
     basis: list[np.ndarray] = []
     for seed in range(dim):
         v = np.zeros(dim, dtype=np.complex128)
         v[seed] = 1.0
-        for g in table.gens:
-            v = _project_plus_one(g, v)
+        for perm, factor in actions:
+            v = _project_plus_one(perm, factor, p, v)
         for b in basis:
             v = v - np.vdot(b, v) * b
         norm = np.linalg.norm(v)

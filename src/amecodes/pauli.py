@@ -220,16 +220,6 @@ class StateVector:
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
 
-def _digit_table(q: int, n: int) -> np.ndarray:
-    """(n, q**n) array of base-q digits of every index, site 0 first."""
-    idx = np.arange(q**n)
-    digits = np.empty((n, q**n), dtype=np.int64)
-    for site in range(n - 1, -1, -1):
-        digits[site] = idx % q
-        idx = idx // q
-    return digits
-
-
 def dense_action(op: PauliString, hermitian_lift: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Permutation and per-source phase factor of the operator.
 
@@ -242,15 +232,12 @@ def dense_action(op: PauliString, hermitian_lift: bool = False) -> tuple[np.ndar
     dim = q**n
     if dim > APPLY_DIM_LIMIT:
         raise ResourceBudgetError(f"dense action needs {dim} amplitudes (> {APPLY_DIM_LIMIT})")
-    digits = _digit_table(q, n)
-    new_digits = np.empty_like(digits)
-    phase = np.zeros(dim, dtype=np.int64)
-    for site, (a, b) in enumerate(op.sites):
-        phase += f.trmul_table[b][digits[site]]
-        new_digits[site] = f.add_table[a][digits[site]]
-    perm = np.zeros(dim, dtype=np.int64)
-    for site in range(n):
-        perm = perm * q + new_digits[site]
+    # one site at a time, site 0 ending up the most significant digit
+    perm = np.zeros(1, dtype=np.int64)
+    phase = np.zeros(1, dtype=np.int64)
+    for a, b in op.sites:
+        perm = np.add.outer(perm * q, f.add_table[a]).ravel()
+        phase = np.add.outer(phase, f.trmul_table[b]).ravel()
     omega = np.exp(2j * np.pi / p)
     factor = omega ** (phase % p) * omega**op.phase_exp
     if hermitian_lift:

@@ -157,6 +157,15 @@ def cost_long_term(code: CodeParams, l_tot: float, ch: ChannelParams) -> tuple[f
     return _minimize_cost(code, l_tot, ch, code.n * code.q)[:2]
 
 
+def _require_finite(cost: float, code: CodeParams, l_tot: float) -> None:
+    """Refuse a minimized cost that is infinite: the rate is zero at every
+    link count (nothing arrives, e.g. eta_c = 0, or it underflows)."""
+    if not math.isfinite(cost):
+        raise DomainError(
+            f"{code.label()} over {l_tot:g} km has no finite cost at any link count"
+        )
+
+
 def cost_report(code: CodeParams, l_tot: float, ch: ChannelParams) -> CostReport:
     """Both cost factors at their shared optimal plan, read off one curve.
 
@@ -164,10 +173,7 @@ def cost_report(code: CodeParams, l_tot: float, ch: ChannelParams) -> CostReport
     arrives, e.g. eta_c = 0).
     """
     c_st, plan, throughput = _minimize_cost(code, l_tot, ch, code.n * math.log2(code.q))
-    if not math.isfinite(c_st):
-        raise DomainError(
-            f"{code.label()} over {l_tot:g} km has no finite cost at any link count"
-        )
+    _require_finite(c_st, code, l_tot)
     c_lt = float(code.n * code.q / throughput)
     ps = p_success(code, loss_probability(plan.l0, ch))
     return CostReport(code, l_tot, ps, rate(code, plan, ch), c_st, c_lt, plan)
@@ -226,7 +232,11 @@ def figure_rows(
     rate_l0: float = 1.0,
 ) -> list[dict]:
     """Figure data: per (L_tot, code), the rate at fixed L0 and the
-    optimized short-term cost.  Keys double as the CSV header."""
+    optimized short-term cost.  Keys double as the CSV header.
+
+    Raises DomainError naming the first (L_tot, code) that has no finite
+    cost at any link count.
+    """
     ch = ch or ChannelParams()
     if rate_l0 <= 0:
         raise DomainError(f"the fixed link length must be positive, got {rate_l0:g} km")
@@ -237,6 +247,7 @@ def figure_rows(
             # fixed-L0 mode uses exactly L0 = rate_l0 over l_tot/rate_l0 links
             r_fixed = rate(code, LinkPlan(links * rate_l0, links), ch)
             c_st, plan = cost_short_term(code, l_tot, ch)
+            _require_finite(c_st, code, l_tot)
             rows.append(
                 {
                     "ltot_km": l_tot,

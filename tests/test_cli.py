@@ -183,3 +183,37 @@ def test_reduce_names_the_site_that_is_not_uniform(tmp_path, capsys):
 
 def test_no_jobs_flag():
     assert "--jobs" not in build_parser().format_help()
+
+
+def test_oracle_state_refuses_zero_and_siteless_input(tmp_path, capsys):
+    cases = {
+        "0 0\n0 0\n0 0\n0 0\n": "all amplitudes zero",
+        "1 0\n": "at least q=2 amplitudes (one site), got 1",
+        "nan 0\n0 0\n0 0\n1 0\n": "must be finite",
+    }
+    for text, message in cases.items():
+        state = tmp_path / "state.txt"
+        state.write_text(text)
+        code, out, err = run(capsys, "oracle", "--state", str(state), "--q", "2")
+        assert code == 2 and out == ""
+        assert message in err
+
+
+def test_figure_refuses_infinite_costs(capsys):
+    # eta_c = 0 leaves every child without a finite cost; at 10000 km and
+    # eta_c = 0.98 only the last child of AME(14,7) has none, its siblings do
+    cases = {("6,2", "1000", "0"): "[[5,1,3]]_2 over 1000 km",
+             ("14,7", "10000", "0.98"): "[[8,6,2]]_7 over 10000 km"}
+    for (ame, ltot, etac), first in cases.items():
+        code, out, err = run(capsys, "figure", "--ame", ame, "--ltots", ltot, "--etac", etac)
+        assert code == 2 and out == ""
+        assert f"{first} has no finite cost at any link count" in err
+
+
+def test_figure_names_a_childless_ame(capsys):
+    code, out, err = run(capsys, "figure", "--ame", "3,2")
+    assert code == 2 and out == ""
+    assert "AME(3,2) has no children with distance >= 2" in err
+    code, out, _ = run(capsys, "figure", "--ame", "3,2", "--include", "5,1,3,2",
+                       "--ltots", "1000")
+    assert code == 0 and "[[5,1,3]]_2" in out and "inf" not in out
