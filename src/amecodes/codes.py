@@ -131,13 +131,6 @@ class GeneratorTable:
         dropped), per-site blocks [x coeffs | z coeffs]."""
         return self._matrix
 
-    def params(self, d: int | None = None) -> CodeParams:
-        if d is None:
-            if self.claimed is None:
-                raise DomainError("no claimed distance; pass d explicitly")
-            d = self.claimed.d
-        return CodeParams(self.n, self.k, d, self.field.q)
-
     def relabel(self, claimed: CodeParams | None) -> "GeneratorTable":
         return GeneratorTable(self.field, self.n, self.gens, claimed)
 

@@ -7,8 +7,18 @@ Every element is referred to by an integer *index* in [0, q):
   reads naturally (``x2`` is the square of the shift operator);
 * extension fields (m > 1): index 0 is the zero element and index
   e >= 1 stands for alpha**(e-1), where alpha is the class of x modulo
-  the pinned field polynomial.  Multiplication runs on log/antilog
-  tables, addition on coefficient vectors over Z_p.
+  the pinned field polynomial.
+
+One array holds the coefficients: row i of ``coeff_matrix`` lists the
+Z_p coefficients of element i over {1, alpha, ..., alpha^(m-1)}, and
+``coeff_index`` inverts it, keyed by the base-p value sum_k c_k p**k.
+For GF(p^m) the rows are the successive powers of x reduced by the
+monic modulus.  Every other table is derived from these two arrays with
+numpy: addition adds coefficient rows mod p and looks the sum up in
+``coeff_index``; multiplication is the product mod p for prime fields
+and adds logs mod q-1 for extension fields; negation and inversion are
+read off those tables; the trace sums the coefficient rows of the
+Frobenius images x, x^p, ..., x^(p^(m-1)).
 
 Pinned field polynomials (coefficients highest degree first), chosen
 once so that element indices and every table built from them are
@@ -71,75 +81,6 @@ def factor_prime_power(q: int) -> tuple[int, int]:
     return p, m
 
 
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-# -- polynomial helpers (coefficients highest degree first) -----------------
-
-def _poly_mod(coeffs: list[int], modulus: Sequence[int], p: int) -> list[int]:
-    c = [x % p for x in coeffs]
-    deg = len(modulus) - 1
-    while len(c) > deg:
-        lead = c[0]
-        if lead:
-            for i in range(len(modulus)):
-                c[i] = (c[i] - lead * modulus[i]) % p
-        c.pop(0)
-    while len(c) < deg:
-        c.insert(0, 0)
-    return c
-
-
-def _poly_mul_mod(a: Sequence[int], b: Sequence[int], modulus, p: int) -> list[int]:
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-    return _poly_mod(prod, modulus, p)
-
-
-def _poly_rem(num: list[int], den: list[int], p: int) -> list[int]:
-    num = [x % p for x in num]
-    lead_inv = pow(den[0], -1, p)
-    while len(num) >= len(den):
-        if num[0]:
-            f = (num[0] * lead_inv) % p
-            for i in range(len(den)):
-                num[i] = (num[i] - f * den[i]) % p
-        num.pop(0)
-    return num
-
-
-def _is_irreducible(modulus: Sequence[int], p: int) -> bool:
-    """Exhaustive factor search; fine for the supported degrees (m <= 4)."""
-    m = len(modulus) - 1
-    if m < 1 or modulus[0] % p != 1:
-        return False
-    for deg in range(1, m // 2 + 1):
-        for tail in range(p**deg):
-            digits = []
-            t = tail
-            for _ in range(deg):
-                digits.append(t % p)
-                t //= p
-            trial = [1] + list(reversed(digits))
-            if not any(_poly_rem(list(modulus), trial, p)):
-                return False
-    return True
-
-
 class Field:
     """A prime field Z_p or extension field GF(p^m) with precomputed tables.
 
@@ -163,33 +104,44 @@ class Field:
         if m == 1:
             self.modulus: tuple[int, ...] | None = None
             # element index == value; alpha is the smallest primitive root
-            self._coeffs = [(i,) for i in range(q)]
-            self.alpha_index = 1
-            for g in range(2, p):
-                if all(pow(g, (p - 1) // f, p) != 1 for f in _prime_factors(p - 1)):
-                    self.alpha_index = g
-                    break
+            self.alpha_index = next(
+                (g for g in range(2, p) if len({pow(g, e, p) for e in range(p - 1)}) == p - 1), 1
+            )
+            coeffs = np.arange(q, dtype=np.int64)[:, None]
         else:
             mod = tuple(int(c) % p for c in (modulus if modulus is not None else PINNED_MODULI[q]))
             if len(mod) != m + 1 or mod[0] != 1:
                 raise DomainError(f"modulus must be a monic degree-{m} coefficient list, got {mod}")
-            if not _is_irreducible(mod, p):
-                raise DomainError(f"modulus {mod} is reducible over Z_{p}")
             self.modulus = mod
-            # antilog table: coefficient tuples of alpha**e (lowest degree last)
-            coeffs: list[tuple[int, ...]] = [(0,) * m, (0,) * (m - 1) + (1,)]
-            cur = list(coeffs[1])
-            for _ in range(q - 2):
-                cur = _poly_mul_mod(cur, [1, 0], mod, p)
-                coeffs.append(tuple(cur))
-            if len(set(coeffs)) != q:
-                raise DomainError(
-                    f"x is not primitive modulo {mod}; choose a primitive polynomial"
-                )
-            self._coeffs = coeffs
             self.alpha_index = 2  # alpha**1
-        self._build_tables()
-        self._check_alpha_order()
+            # row e+1 = x * row e: shift up one degree, then fold the top
+            # coefficient back in through x**m = -(monic tail)
+            tail = np.array(mod[:0:-1], dtype=np.int64)
+            coeffs = np.zeros((q, m), dtype=np.int64)
+            coeffs[1, 0] = 1
+            for e in range(2, q):
+                coeffs[e, 1:] = coeffs[e - 1, :-1]
+                coeffs[e] = (coeffs[e] - coeffs[e - 1, -1] * tail) % p
+        place = p ** np.arange(m)
+        keys = coeffs @ place
+        if len(set(keys.tolist())) != q:
+            # Distinct rows 0, 1, x, ..., x^(q-2) are all q classes of
+            # Z_p[x]/(f).  If f(0) != 0, x is a unit, so all q-1 nonzero
+            # classes are units: the ring is a field and x is primitive.  If
+            # f(0) = 0, x is not a unit and 1 is the only unit left, which
+            # forces p = 2 and a product of copies of F_2, where x^2 = x;
+            # that contradicts distinct 1, x, x^2 (q >= 4).  So this one
+            # check refuses both reducible and non-primitive moduli.
+            raise DomainError(
+                f"modulus {self.modulus} is reducible over Z_{p} or x is not primitive modulo it; "
+                "choose a primitive polynomial"
+            )
+        # column k of coeff_matrix = coefficient of alpha**k in each element
+        self.coeff_matrix = coeffs
+        # inverse of coeff_matrix, keyed by the base-p value sum_k c_k p**k
+        self.coeff_index = np.zeros(q, dtype=np.int64)
+        self.coeff_index[keys] = np.arange(q)
+        self._build_tables(place)
         if self.m > 1 and self.trace(self.one_index) == 0:
             warnings.warn(
                 f"in GF({q}) the trace of 1 vanishes (p divides m), so single-site "
@@ -198,87 +150,41 @@ class Field:
                 stacklevel=3,
             )
 
-    def _build_tables(self) -> None:
-        p, q = self.p, self.q
-        self._index_of = {c: i for i, c in enumerate(self._coeffs)}
-        add = np.zeros((q, q), dtype=np.int64)
-        mul = np.zeros((q, q), dtype=np.int64)
-        for i in range(q):
-            for j in range(q):
-                if self.m == 1:
-                    add[i, j] = (i + j) % p
-                    mul[i, j] = (i * j) % p
-                else:
-                    s = tuple((a + b) % p for a, b in zip(self._coeffs[i], self._coeffs[j]))
-                    add[i, j] = self._index_of[s]
-                    if i and j:
-                        mul[i, j] = (i - 1 + j - 1) % (q - 1) + 1
-        self.add_table = add
-        self.mul_table = mul
-        self.neg_table = np.array(
-            [next(j for j in range(q) if add[i, j] == 0) for i in range(q)], dtype=np.int64
-        )
-        inv = np.zeros(q, dtype=np.int64)
-        for i in range(1, q):
-            inv[i] = next(j for j in range(1, q) if mul[i, j] == self.one_index)
-        self.inv_table = inv
-        # trace(x) = x + x^p + ... + x^(p^(m-1)), landing in the prime subfield
-        tr = np.zeros(q, dtype=np.int64)
-        for i in range(q):
-            total = 0
-            term = i
-            for _ in range(self.m):
-                total = int(add[total, term])
-                term = self._pow_raw(term, p)
-            tr[i] = self._subfield_value(total)
-        self.trace_table = tr
+    def _build_tables(self, place: np.ndarray) -> None:
+        p, m, q = self.p, self.m, self.q
+        c = self.coeff_matrix
+        self.add_table = self.coeff_index[((c[:, None] + c[None]) % p) @ place]
+        i = np.arange(q)
+        if m == 1:
+            self.mul_table = np.multiply.outer(i, i) % p
+        else:
+            # index e+1 is alpha**e, so nonzero products add logs mod q-1
+            self.mul_table = np.where(
+                np.multiply.outer(i, i) > 0, np.add.outer(i - 1, i - 1) % (q - 1) + 1, 0
+            )
+        self.neg_table = (self.add_table == 0).argmax(axis=1)
+        self.inv_table = (self.mul_table == self.one_index).argmax(axis=1)
+        # trace(x) = x + x^p + ... + x^(p^(m-1)): the Frobenius image x^(p^k)
+        # multiplies the log by p^k (k = 0 alone, the identity, for m = 1)
+        frobenius = [np.concatenate(([0], (i[1:] - 1) * p**k % (q - 1) + 1)) for k in range(m)]
+        tr = sum(c[f] for f in frobenius) % p
+        if tr[:, 1:].any():
+            raise DomainError("trace left the prime subfield; broken tables")
+        self.trace_table = tr[:, 0]
         # trace of a product; backs commutation phases and the dense Z action
-        self.trmul_table = tr[mul]
-        # column k of coeff_matrix = coefficient of alpha**k in each element
-        self.coeff_matrix = np.array(
-            [list(reversed(self._coeffs[i])) for i in range(q)], dtype=np.int64
-        )
-        # inverse of coeff_matrix, keyed by the base-p value sum_k c_k p**k
-        self.coeff_index = np.zeros(q, dtype=np.int64)
-        self.coeff_index[self.coeff_matrix @ p ** np.arange(self.m)] = np.arange(q)
-        self.coeff_basis = [self._alpha_power(k) for k in range(self.m)]
+        self.trmul_table = self.trace_table[self.mul_table]
+        # the element with coefficient vector e_k is alpha**k
+        self.coeff_basis = [int(b) for b in self.coeff_index[place]]
         # Gram matrix of the trace form on the coefficient basis {1, alpha, ...}
-        self.gram = np.array(
-            [[int(self.trmul_table[a, b]) for b in self.coeff_basis] for a in self.coeff_basis],
-            dtype=np.int64,
-        )
-
-    def _alpha_power(self, k: int) -> int:
-        if self.m == 1:
-            return pow(self.alpha_index, k, self.p)
-        return (k % (self.q - 1)) + 1 if k else self.one_index
+        self.gram = self.trmul_table[np.ix_(self.coeff_basis, self.coeff_basis)]
 
     def _pow_raw(self, i: int, s: int) -> int:
-        r = self.one_index
-        b = i
-        while s:
-            if s & 1:
-                r = int(self.mul_table[r, b])
-            b = int(self.mul_table[b, b])
-            s >>= 1
-        return r
-
-    def _subfield_value(self, i: int) -> int:
+        i, s = int(i), int(s)
         if self.m == 1:
-            return i
-        c = self._coeffs[i]
-        if any(c[:-1]):
-            raise DomainError("trace left the prime subfield; broken tables")
-        return c[-1]
-
-    def _check_alpha_order(self) -> None:
-        seen = self.one_index
-        for s in range(1, self.q - 1):
-            seen = self.mul(seen, self.alpha_index)
-            if seen == self.one_index:
-                raise DomainError("designated alpha does not have order q-1")
-        if self.mul(seen, self.alpha_index) != self.one_index:
-            raise DomainError("alpha**(q-1) != 1; broken tables")
+            return pow(i, s, self.p)
+        if s == 0:
+            return self.one_index
+        return 0 if i == 0 else (i - 1) * s % (self.q - 1) + 1
 
     # -- integer-index operations -------------------------------------------
 
@@ -319,11 +225,10 @@ class Field:
         return tuple(int(c) for c in self.coeff_matrix[i])
 
     def index_of_coeffs(self, coeffs: Sequence[int]) -> int:
-        key = tuple(int(c) % self.p for c in reversed(list(coeffs)))
-        try:
-            return self._index_of[key]
-        except KeyError:
-            raise DomainError(f"bad coefficient vector {list(coeffs)} for {self!r}") from None
+        c = [int(x) % self.p for x in coeffs]
+        if len(c) != self.m:
+            raise DomainError(f"bad coefficient vector {list(coeffs)} for {self!r}")
+        return int(self.coeff_index[np.dot(c, self.p ** np.arange(self.m))])
 
     # -- element wrappers -----------------------------------------------------
 
@@ -353,36 +258,28 @@ class Field:
     def dual_basis(self, basis: Sequence["FieldElement | int"]) -> list["FieldElement"]:
         """The trace-dual basis {b_j} with trace(basis[i] * b_j) = delta_ij."""
         idx = self._basis_indices(basis)
-        t = np.array(
-            [[self.trace_mul(i, g) for g in self.coeff_basis] for i in idx], dtype=np.int64
-        )
+        t = self.trmul_table[np.ix_(idx, self.coeff_basis)]
         try:
             c = linalg.inv(t, self.p)
         except DomainError:
             raise DomainError("input elements are linearly dependent over Z_p") from None
-        out = []
-        for j in range(self.m):
-            acc = 0
-            for k, g in enumerate(self.coeff_basis):
-                acc = self.add(acc, self.mul(self._lift_scalar(int(c[k, j])), g))
-            out.append(self.element(acc))
-        return out
+        # column j of c holds the coefficients of b_j over {alpha**k}
+        keys = c.T @ self.p ** np.arange(self.m)
+        return [self.element(int(i)) for i in self.coeff_index[keys]]
 
     def decompose(self, x: "FieldElement | int", basis: Sequence["FieldElement | int"]) -> list[int]:
         """Coordinates of x over the given Z_p-basis: sum_i out[i]*basis[i] = x."""
         idx = self._basis_indices(basis)
-        b = np.array([list(self.coeffs(i)) for i in idx], dtype=np.int64).T
+        b = self.coeff_matrix[idx].T
         if linalg.rank(b, self.p) < self.m:
             raise DomainError("input elements are linearly dependent over Z_p")
         xi = x.index if isinstance(x, FieldElement) else int(x)
-        sol = linalg.solve(b, np.array(self.coeffs(xi), dtype=np.int64), self.p)
+        sol = linalg.solve(b, self.coeff_matrix[xi], self.p)
         return [int(v) for v in sol]
 
     def _lift_scalar(self, c: int) -> int:
         """Index of the prime-subfield element with value c."""
-        if self.m == 1:
-            return c % self.p
-        return self.index_of_coeffs([c % self.p] + [0] * (self.m - 1))
+        return int(self.coeff_index[c % self.p])
 
     def _basis_indices(self, basis: Sequence["FieldElement | int"]) -> list[int]:
         if len(basis) != self.m:

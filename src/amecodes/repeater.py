@@ -30,6 +30,7 @@ from .codes import CodeParams
 from .errors import DomainError
 
 MIN_LINK_KM = 0.1
+MAX_LTOT_KM = 100_000.0  # 10^6 link counts of MIN_LINK_KM
 
 
 @dataclass(frozen=True)
@@ -121,9 +122,13 @@ def _p_success_grid(code: CodeParams, p_loss: np.ndarray) -> np.ndarray:
 
 
 def link_grid(l_tot: float) -> np.ndarray:
-    """Integer link counts 1..floor(L_tot / 0.1 km)."""
+    """Integer link counts 1..floor(L_tot / 0.1 km), for L_tot up to 100,000 km."""
     if l_tot <= 0:
         raise DomainError(f"total distance must be positive, got {l_tot}")
+    if l_tot > MAX_LTOT_KM:
+        raise DomainError(
+            f"total distance {l_tot:g} km exceeds the {MAX_LTOT_KM:g} km bound (10^6 link counts)"
+        )
     r_max = max(1, int(l_tot / MIN_LINK_KM))
     return np.arange(1, r_max + 1)
 
@@ -157,12 +162,19 @@ def cost_long_term(code: CodeParams, l_tot: float, ch: ChannelParams) -> tuple[f
     return _minimize_cost(code, l_tot, ch, code.n * code.q)[:2]
 
 
-def _require_finite(cost: float, code: CodeParams, l_tot: float) -> None:
-    """Refuse a minimized cost that is infinite: the rate is zero at every
-    link count (nothing arrives, e.g. eta_c = 0, or it underflows)."""
+def _require_finite(cost: float, code: CodeParams, l_tot: float, ch: ChannelParams) -> None:
+    """Refuse a minimized cost that is infinite, naming why: nothing
+    arrives (eta_c = 0), or the rate underflows at every link count."""
     if not math.isfinite(cost):
+        if ch.eta_c == 0:
+            cause = "nothing arrives (eta_c = 0)"
+        else:
+            cause = (
+                "the rate underflows double precision at every link count, "
+                "so the minimum cost exceeds about 1.8e308 /km"
+            )
         raise DomainError(
-            f"{code.label()} over {l_tot:g} km has no finite cost at any link count"
+            f"{code.label()} over {l_tot:g} km has no finite cost at any link count: {cause}"
         )
 
 
@@ -170,10 +182,10 @@ def cost_report(code: CodeParams, l_tot: float, ch: ChannelParams) -> CostReport
     """Both cost factors at their shared optimal plan, read off one curve.
 
     Raises DomainError when no link count gives a finite cost (nothing
-    arrives, e.g. eta_c = 0).
+    arrives, e.g. eta_c = 0, or the rate underflows).
     """
     c_st, plan, throughput = _minimize_cost(code, l_tot, ch, code.n * math.log2(code.q))
-    _require_finite(c_st, code, l_tot)
+    _require_finite(c_st, code, l_tot, ch)
     c_lt = float(code.n * code.q / throughput)
     ps = p_success(code, loss_probability(plan.l0, ch))
     return CostReport(code, l_tot, ps, rate(code, plan, ch), c_st, c_lt, plan)
@@ -243,11 +255,11 @@ def figure_rows(
     rows = []
     for l_tot in l_tots:
         for code in codes:
+            c_st, plan = cost_short_term(code, l_tot, ch)
+            _require_finite(c_st, code, l_tot, ch)
             links = max(1, round(l_tot / rate_l0))
             # fixed-L0 mode uses exactly L0 = rate_l0 over l_tot/rate_l0 links
             r_fixed = rate(code, LinkPlan(links * rate_l0, links), ch)
-            c_st, plan = cost_short_term(code, l_tot, ch)
-            _require_finite(c_st, code, l_tot)
             rows.append(
                 {
                     "ltot_km": l_tot,

@@ -56,6 +56,35 @@ def poly_trace(a, modulus, p, m):
     return acc[0]
 
 
+def poly_rem(a, b, p):
+    """Remainder of a modulo the monic b over Z_p (both low degree first)."""
+    a = [c % p for c in a]
+    while len(a) >= len(b):
+        lead = a.pop()
+        for t in range(len(b) - 1):
+            a[len(a) - len(b) + 1 + t] = (a[len(a) - len(b) + 1 + t] - lead * b[t]) % p
+    return a
+
+
+def is_primitive_modulus(modulus, p):
+    """Monic modulus (low degree first) irreducible over Z_p, found by trial
+    division by every monic polynomial of degree 1..m//2, with x of
+    multiplicative order p**m - 1, found by repeated multiplication."""
+    m = len(modulus) - 1
+    for deg in range(1, m // 2 + 1):
+        for tail in itertools.product(range(p), repeat=deg):
+            if not any(poly_rem(modulus, list(tail) + [1], p)):
+                return False
+    one = [1] + [0] * (m - 1)
+    x = [0, 1] + [0] * (m - 2)
+    power = x
+    for e in range(1, p**m - 1):
+        if power == one:
+            return False
+        power = poly_mul_mod(power, x, modulus, p)
+    return power == one
+
+
 # -- dense single-site Pauli matrices and Kronecker products ------------------
 
 

@@ -156,6 +156,39 @@ def test_cost_and_rate_without_finite_cost_exit_2(capsys):
         assert "no finite cost" in err
 
 
+def test_zero_coupling_names_its_cause(capsys):
+    cause = "has no finite cost at any link count: nothing arrives (eta_c = 0)"
+    for cmd in (["cost"], ["rate", "--optimize"]):
+        code, out, err = run(capsys, *cmd, "--n", "5", "--k", "1", "--d", "3", "--q", "2",
+                             "--ltot", "1000", "--etac", "0")
+        assert code == 2 and out == ""
+        assert f"[[5,1,3]]_2 over 1000 km {cause}" in err
+
+
+def test_underflowed_rate_names_its_cause(capsys):
+    # with eta_c > 0 every link count has a positive rate, but below 1e-308
+    cause = ("has no finite cost at any link count: the rate underflows double precision "
+             "at every link count, so the minimum cost exceeds about 1.8e308 /km")
+    code, out, err = run(capsys, "figure", "--ame", "6,2", "--ltots", "10000", "--etac", "0.5")
+    assert code == 2 and out == ""
+    assert f"[[5,1,3]]_2 over 10000 km {cause}" in err
+    for cmd in (["cost"], ["rate", "--optimize"]):
+        code, out, err = run(capsys, *cmd, "--n", "8", "--k", "6", "--d", "2", "--q", "7",
+                             "--ltot", "10000", "--etac", "0.98")
+        assert code == 2 and out == ""
+        assert f"[[8,6,2]]_7 over 10000 km {cause}" in err
+
+
+def test_beyond_link_grid_bound_exit_2(capsys):
+    # inf used to escape as an OverflowError traceback
+    code_flags = ["--n", "5", "--k", "1", "--d", "3", "--q", "2"]
+    for ltot in ("1e12", "inf"):
+        for cmd in (["cost", *code_flags, "--ltot"], ["figure", "--ame", "6,2", "--ltots"]):
+            code, out, err = run(capsys, *cmd, ltot)
+            assert code == 2 and out == ""
+            assert "exceeds the 100000 km bound" in err
+
+
 def test_table_below_grid_exit_2(capsys):
     code, out, err = run(capsys, "table", "--nmax", "3")
     assert code == 2 and out == ""

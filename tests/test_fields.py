@@ -1,14 +1,25 @@
 import itertools
 import random
+import warnings
 
 import pytest
 
 from amecodes.errors import DomainError, FieldMismatchError
 from amecodes.fields import GF, Field, factor_prime_power, is_prime
 
-from oracles import exhaustive_dual_basis, exhaustive_inverse, poly_mul_mod, poly_pow, poly_trace
+from oracles import (
+    exhaustive_dual_basis,
+    exhaustive_inverse,
+    is_primitive_modulus,
+    poly_add,
+    poly_mul_mod,
+    poly_pow,
+    poly_trace,
+)
 
 SMALL_FIELDS = [GF(q) for q in (2, 3, 4, 5, 7, 8, 9)]
+SUPPORTED_FIELDS = [GF(q) for q in range(2, 65) if is_prime(q)] + [GF(4), GF(8), GF(9)]
+PINNED_LOW_FIRST = {4: [1, 1, 1], 8: [1, 1, 0, 1], 9: [2, 1, 1]}
 
 
 def test_factor_prime_power():
@@ -107,6 +118,53 @@ def test_trace_against_polynomial_oracle(q, m, mod):
     for i in range(q):
         coeffs = list(f.coeffs(i))
         assert f.trace(i) == poly_trace(coeffs, mod, f.p, m)
+
+
+@pytest.mark.parametrize("field", SUPPORTED_FIELDS, ids=lambda f: f"q{f.q}")
+def test_alpha_has_order_q_minus_1(field):
+    seen = field.one_index
+    for _ in range(field.q - 2):
+        seen = field.mul(seen, field.alpha_index)
+        assert seen != field.one_index
+    assert field.mul(seen, field.alpha_index) == field.one_index
+
+
+@pytest.mark.parametrize("q", [4, 8, 9])
+def test_tables_against_polynomial_oracle(q):
+    f, mod = GF(q), PINNED_LOW_FIRST[q]
+    p, m = f.p, f.m
+    assert f.coeffs(0) == (0,) * m
+    for e in range(q - 1):  # index e+1 is alpha**e
+        assert list(f.coeffs(e + 1)) == poly_pow([0, 1], e, mod, p)
+    for i, j in itertools.product(range(q), repeat=2):
+        a, b = list(f.coeffs(i)), list(f.coeffs(j))
+        assert list(f.coeffs(f.add_table[i, j])) == poly_add(a, b, p)
+        prod = poly_mul_mod(a, b, mod, p)
+        assert list(f.coeffs(f.mul_table[i, j])) == prod
+        assert f.trmul_table[i, j] == poly_trace(prod, mod, p, m)
+    for i in range(q):
+        assert f.trace_table[i] == poly_trace(list(f.coeffs(i)), mod, p, m)
+
+
+@pytest.mark.parametrize("q", [4, 8, 9])
+def test_modulus_accepted_exactly_when_primitive(q):
+    # one distinct-powers check in Field stands for irreducible and primitive
+    p, m = factor_prime_power(q)
+    verdicts = []
+    for tail in itertools.product(range(p), repeat=m):
+        modulus = (1,) + tail  # highest degree first
+        expected = is_primitive_modulus(list(reversed(modulus)), p)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                Field(q, modulus)
+            accepted = True
+        except DomainError as exc:
+            assert "reducible" in str(exc) and "not primitive" in str(exc)
+            accepted = False
+        assert accepted == expected, modulus
+        verdicts.append(accepted)
+    assert sum(verdicts) == {4: 1, 8: 2, 9: 2}[q]
 
 
 def test_trace_examples():

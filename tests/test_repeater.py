@@ -142,6 +142,13 @@ def test_link_grid():
         link_grid(0.0)
 
 
+def test_link_grid_refuses_beyond_bound():
+    # raised before np.arange, so nothing of this size is allocated
+    for l_tot in (1e12, math.inf):
+        with pytest.raises(DomainError, match="100000 km bound"):
+            link_grid(l_tot)
+
+
 def test_children_params():
     kids = children_params(6, 2)
     assert [(c.n, c.k, c.d) for c in kids] == [(5, 1, 3), (4, 2, 2)]
