@@ -58,6 +58,8 @@ def _code_from_flags(args) -> CodeParams:
 
 
 def cmd_verify(args) -> int:
+    if args.dmax is not None and args.dmax < 1:
+        raise DomainError(f"--dmax must be at least 1, got {args.dmax}")
     table = stabtab.parse_file(args.file)
     label = table.claimed.label() if table.claimed else f"n={table.n} k={table.k} q={table.field.q}"
     print(f"table: {label} ({len(table.gens)} generators)")
@@ -71,7 +73,9 @@ def cmd_verify(args) -> int:
         print(f"independence: FAIL, dependency coefficients {witness.tolist()}")
         return FAIL
     print("independence: pass")
-    d_max = args.dmax or (table.claimed.d if table.claimed else table.n // 2 + 1)
+    d_max = args.dmax
+    if d_max is None:
+        d_max = table.claimed.d if table.claimed else table.n // 2 + 1
     d = compute_distance(table, d_max, args.budget)
     print(f"distance: {d if d is not None else f'>{d_max}'} (scanned to {d_max})")
     ok = True
@@ -181,8 +185,11 @@ def cmd_rate(args) -> int:
         print(f"p_success per link: {report.p_success:.6g}")
         print(f"rate R*t0: {report.rate_t0:.6g}")
     else:
-        if args.l0 <= 0:
+        if not 0 < args.l0 < math.inf:
             raise DomainError(f"--l0 must be a positive link length in km, got {args.l0:g}")
+        if not math.isfinite(args.ltot / args.l0):
+            raise DomainError(f"--ltot {args.ltot:g} km over --l0 {args.l0:g} km is not a "
+                              f"finite link count")
         links = max(1, round(args.ltot / args.l0))
         plan = LinkPlan(args.ltot, links)
         ps = p_success(code, loss_probability(plan.l0, ch))
@@ -378,6 +385,11 @@ def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
+        # type=float accepts "nan", which no flag can use
+        for dest, value in vars(args).items():
+            if any(isinstance(v, float) and math.isnan(v)
+                   for v in (value if isinstance(value, list) else [value])):
+                raise DomainError(f"--{dest.replace('_', '-')} must be a number, got nan")
         return args.fn(args)
     except ResourceBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)

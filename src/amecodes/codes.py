@@ -3,7 +3,7 @@
 A code is described by an ordered list of Pauli strings claimed to
 generate its stabilizer group.  Verification covers the three generator
 conditions: independence (symplectic rank over Z_p), mutual commutation,
-and distance (exhaustive scan over weighted errors).  Distance semantics:
+and distance (a scan over weighted errors).  Distance semantics:
 
 * k = 0: the distance is the smallest weight of a nonzero element of
   the projective stabilizer group itself, i.e. of any error commuting
@@ -14,6 +14,18 @@ and distance (exhaustive scan over weighted errors).  Distance semantics:
 
 Scans partition cleanly by weight class and are deterministic: errors
 are visited in the lexicographic order of :func:`~amecodes.pauli.enumerate_errors`.
+A class whose site subsets each hold more than ``_BLOCK_ROWS`` errors is
+first screened by rank (Scott, PRA 69, 052330 (2004)): with M the table
+matrix, N its row count, Omega the trace form and r_out the rank of M on
+the columns outside a subset A, A supports an undetectable error when
+N - r_out > 0 (k = 0) or 2m|A| - rank((M Omega) on A's columns) > N - r_out
+(k > 0).  Subsets failing the screen are skipped, and the first passing
+one is scanned in blocks of at most ``_BLOCK_ROWS`` errors of its
+lexicographic order, up to its first undetectable error.  Lighter classes
+are clear by then, so that error has full support on A, and the witness
+is the one the unscreened scan finds.  The budget counts brute-force
+commutation tests per class, screened or not, charged before the class
+starts.
 """
 
 from __future__ import annotations
@@ -32,6 +44,9 @@ from .fields import Field
 from .pauli import PauliString, error_count, sites_from_matrix
 
 DEFAULT_DISTANCE_BUDGET = 10**9
+# errors of one site subset that a distance scan holds at once; weight classes
+# whose subsets hold more are rank-screened first (see the module docstring)
+_BLOCK_ROWS = 2**12
 
 QMDS = "QMDS"
 SUBOPTIMAL_QMDS = "suboptimal-QMDS"
@@ -184,6 +199,16 @@ def check_independence(table: GeneratorTable) -> np.ndarray | None:
 # -- distance ----------------------------------------------------------------
 
 
+def _outside_rank(table: GeneratorTable, sites: Iterable[int]) -> int:
+    """Rank of the table matrix restricted to the columns of the sites not
+    in ``sites``; N minus it is log_p of the group elements inside them."""
+    outside = np.ones(table.n, dtype=bool)
+    outside[list(sites)] = False
+    return linalg.rank(
+        table.symplectic_matrix()[:, np.repeat(outside, 2 * table.field.m)], table.field.p
+    )
+
+
 def find_min_undetectable(
     table: GeneratorTable, d_max: int, budget: int = DEFAULT_DISTANCE_BUDGET
 ) -> tuple[int, PauliString] | None:
@@ -192,44 +217,79 @@ def find_min_undetectable(
     Returns (weight, error) or None when nothing undetectable exists at
     weight <= d_max.  Raises ResourceBudgetError before starting a
     weight class that would push the commutation-test count past the
-    budget.
+    budget.  Requires a table that already passes check_commutation and
+    check_independence: the rank screen assumes both.
     """
     f = table.field
     p, m, n, q = f.p, f.m, table.n, f.q
     n_pairs = q * q - 1
+    n_gens = len(table.gens)
     # Z_p blocks of the nonzero site pairs (a, b), in enumerate_errors order,
     # and the syndrome of each on each site: site_syn[s, pair, generator]
     pairs = [(a, b) for a in range(q) for b in range(q) if a or b]
     pair_vecs = f.coeff_matrix[np.array(pairs)].reshape(n_pairs, 2 * m)
-    site_syn = (pair_vecs @ _commutation_map(table).reshape(n, 2 * m, -1)) % p
+    site_map = _commutation_map(table).reshape(n, 2 * m, n_gens)
+    site_syn = (pair_vecs @ site_map) % p
     k = table.k
     if k > 0:
         red, pivots = linalg.rref(table.symplectic_matrix(), p)
+
+    def first_undetectable(sites, zero_rows, offset):
+        """The error of the first zero-syndrome row (flat index offset + row)
+        that counts: any for k = 0, one outside the stabilizer group for k > 0."""
+        for row in zero_rows:
+            combo = np.unravel_index(offset + row, (n_pairs,) * len(sites))
+            err_vec = np.zeros((n, 2 * m), dtype=np.int64)
+            err_vec[list(sites)] = pair_vecs[list(combo)]
+            err_vec = err_vec.reshape(-1)
+            if k > 0 and not np.any(linalg.reduce_against(err_vec, red, pivots, p)):
+                continue  # a stabilizer element: degenerate, not a logical
+            return PauliString.from_symplectic(f, err_vec, n)
+        return None
+
+    def supports_undetectable(sites) -> bool:
+        """Rank screen: some undetectable error is supported inside ``sites``."""
+        in_group = n_gens - _outside_rank(table, sites)  # log_p |S_A|
+        if k == 0:
+            return in_group > 0
+        commuting = 2 * m * len(sites) - linalg.rank(site_map[list(sites)].reshape(-1, n_gens), p)
+        return commuting > in_group
+
     tests_done = 0
     for w in range(1, min(d_max, n) + 1):
-        tests_done += error_count(f, n, w) * len(table.gens)
+        tests_done += error_count(f, n, w) * n_gens
         if tests_done > budget:
             raise ResourceBudgetError(
                 f"distance scan at weight {w} needs {tests_done} commutation tests "
                 f"(budget {budget})"
             )
+        # trailing sites whose product fits in one block; the leading ones
+        # hold one digit tuple per block, so blocks follow the flat order
+        tail_w = w
+        while n_pairs**tail_w > _BLOCK_ROWS:
+            tail_w -= 1
+        screened = tail_w < w
         for sites in itertools.combinations(range(n), w):
-            # broadcast sum of the per-site syndromes over the w-fold
-            # cartesian product (lexicographic flat order)
-            total = site_syn[sites[0]].reshape((n_pairs,) + (1,) * (w - 1) + (-1,))
-            for t in range(1, w):
-                shape = (1,) * t + (n_pairs,) + (1,) * (w - 1 - t) + (-1,)
-                total = total + site_syn[sites[t]].reshape(shape)
-            flat = (total.reshape(-1, total.shape[-1]) % p).astype(np.int8)
-            zero_rows = np.nonzero(~flat.any(axis=1))[0]
-            for idx in zero_rows:
-                combo = np.unravel_index(idx, (n_pairs,) * w)
-                err_vec = np.zeros((n, 2 * m), dtype=np.int64)
-                err_vec[list(sites)] = pair_vecs[list(combo)]
-                err_vec = err_vec.reshape(-1)
-                if k > 0 and not np.any(linalg.reduce_against(err_vec, red, pivots, p)):
-                    continue  # a stabilizer element: degenerate, not a logical
-                return w, PauliString.from_symplectic(f, err_vec, n)
+            if screened and not supports_undetectable(sites):
+                continue
+            # in a screened class every lighter class is clear, so the error
+            # inside ``sites`` has full support there
+            lead, tail = list(sites[: w - tail_w]), sites[w - tail_w :]
+            # syndrome sums over the trailing sites' product, flat order
+            tail_syn = site_syn[tail[0]] if tail else np.zeros((1, n_gens), dtype=np.int64)
+            for s in tail[1:]:
+                tail_syn = (tail_syn[:, None, :] + site_syn[s]).reshape(-1, n_gens)
+            for b, digits in enumerate(itertools.product(range(n_pairs), repeat=len(lead))):
+                block = tail_syn + site_syn[lead, digits].sum(axis=0) if lead else tail_syn
+                zero_rows = np.nonzero(~(block % p).any(axis=1))[0]
+                hit = first_undetectable(sites, zero_rows, b * len(tail_syn))
+                if hit is not None:
+                    return w, hit
+            if screened:
+                raise DomainError(
+                    f"rank screen passed sites {sites} but the scan found no error: "
+                    "the table must pass check_commutation and check_independence"
+                )
     return None
 
 
@@ -264,10 +324,7 @@ def subsystem_entropy(table: GeneratorTable, sites: Iterable[int]) -> float:
     if not all(0 <= s < table.n for s in subset):
         raise DomainError(f"sites out of range for n={table.n}")
     f = table.field
-    outside = np.ones(table.n, dtype=bool)
-    outside[subset] = False
-    outside_rank = linalg.rank(table.symplectic_matrix()[:, np.repeat(outside, 2 * f.m)], f.p)
-    dim_inside = len(table.gens) - outside_rank  # log_p |S_A|
+    dim_inside = len(table.gens) - _outside_rank(table, subset)  # log_p |S_A|
     return (len(subset) - dim_inside / f.m) * math.log2(f.q)
 
 

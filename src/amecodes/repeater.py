@@ -47,12 +47,12 @@ class ChannelParams:
     t0: float = 1.0
 
     def __post_init__(self):
-        if self.l_att <= 0:
-            raise DomainError(f"l_att must be positive, got {self.l_att}")
+        if not 0 < self.l_att < math.inf:
+            raise DomainError(f"l_att must be positive and finite, got {self.l_att}")
         if not 0.0 <= self.eta_c <= 1.0:
             raise DomainError(f"eta_c must lie in [0,1], got {self.eta_c}")
-        if self.t0 <= 0:
-            raise DomainError(f"t0 must be positive, got {self.t0}")
+        if not 0 < self.t0 < math.inf:
+            raise DomainError(f"t0 must be positive and finite, got {self.t0}")
 
 
 @dataclass(frozen=True)
@@ -123,7 +123,7 @@ def _p_success_grid(code: CodeParams, p_loss: np.ndarray) -> np.ndarray:
 
 def link_grid(l_tot: float) -> np.ndarray:
     """Integer link counts 1..floor(L_tot / 0.1 km), for L_tot up to 100,000 km."""
-    if l_tot <= 0:
+    if not l_tot > 0:  # NaN included
         raise DomainError(f"total distance must be positive, got {l_tot}")
     if l_tot > MAX_LTOT_KM:
         raise DomainError(

@@ -149,3 +149,28 @@ def min_group_weight(table):
         for sites in projective_group(table)
     ]
     return min(w for w in weights if w > 0)
+
+
+def first_undetectable(table, d_max):
+    """(weight, site pairs) of the first undetectable error in the distance
+    scan's order (weight, then site subset, then per-site (x, z) index pairs,
+    all lexicographic), or None below d_max.  Every error of every subset is
+    tested, with commutation exponents from the scalar trace of products;
+    for k > 0 an error must also lie outside ``projective_group``."""
+    f, n, p = table.field, table.n, table.field.p
+    pairs = [(a, b) for a in range(f.q) for b in range(f.q) if a or b]
+    # syn[s, i, j]: exponent of pair i on site s against generator j
+    syn = np.array([[[(f.trace_mul(a, g.sites[s][1]) - f.trace_mul(b, g.sites[s][0])) % p
+                      for g in table.gens] for a, b in pairs] for s in range(n)])
+    group = projective_group(table) if table.k else set()
+    for w in range(1, min(d_max, n) + 1):
+        combos = np.indices((len(pairs),) * w).reshape(w, -1).T
+        for subset in itertools.combinations(range(n), w):
+            total = sum(syn[s][combos[:, t]] for t, s in enumerate(subset)) % p
+            for row in np.nonzero(~total.any(axis=1))[0]:
+                sites = [(0, 0)] * n
+                for t, s in enumerate(subset):
+                    sites[s] = pairs[combos[row, t]]
+                if tuple(sites) not in group:
+                    return w, tuple(sites)
+    return None

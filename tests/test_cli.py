@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import pytest
 
 from amecodes.catalog import catalog_dir
 from amecodes.cli import build_parser, main
@@ -250,3 +251,32 @@ def test_figure_names_a_childless_ame(capsys):
     code, out, _ = run(capsys, "figure", "--ame", "3,2", "--include", "5,1,3,2",
                        "--ltots", "1000")
     assert code == 0 and "[[5,1,3]]_2" in out and "inf" not in out
+
+
+CODE_FLAGS = ["--n", "5", "--k", "1", "--d", "3", "--q", "2"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["rate", *CODE_FLAGS, "--ltot", "inf", "--l0", "1"],
+     "--ltot inf km over --l0 1 km is not a finite link count"),
+    (["rate", *CODE_FLAGS, "--ltot", "nan", "--l0", "1"], "--ltot must be a number, got nan"),
+    (["rate", *CODE_FLAGS, "--ltot", "nan", "--optimize"], "--ltot must be a number, got nan"),
+    (["cost", *CODE_FLAGS, "--ltot", "nan"], "--ltot must be a number, got nan"),
+    (["figure", "--ame", "6,2", "--ltots", "nan"], "--ltots must be a number, got nan"),
+    (["table", "--distances", "nan"], "--distances must be a number, got nan"),
+    (["cost", *CODE_FLAGS, "--ltot", "1000", "--latt", "nan"], "--latt must be a number, got nan"),
+])
+def test_non_finite_distances_exit_2(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert message in err
+
+
+def test_verify_dmax_below_one_exit_2(capsys):
+    for dmax in ("-2", "0"):
+        code, out, err = run(capsys, "verify", str(catalog_dir() / "ame_5_2.stabtab"),
+                             "--dmax", dmax)
+        assert code == 2 and out == ""
+        assert f"--dmax must be at least 1, got {dmax}" in err
+    code, out, _ = run(capsys, "verify", str(catalog_dir() / "ame_5_2.stabtab"), "--dmax", "1")
+    assert code == 1 and "distance: >1 (scanned to 1)" in out

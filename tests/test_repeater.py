@@ -216,3 +216,11 @@ def test_figure_rows_schema_and_monotone_rate():
 def test_figure_rows_refuses_a_nonpositive_link_length():
     with pytest.raises(DomainError, match="link length must be positive"):
         figure_rows([CodeParams(5, 1, 3, 2)], [1000.0], CH, rate_l0=0.0)
+
+
+def test_non_finite_channel_and_distance_refused():
+    for kwargs in ({"l_att": math.nan}, {"l_att": math.inf}, {"t0": math.nan}, {"t0": math.inf}):
+        with pytest.raises(DomainError, match="positive and finite"):
+            ChannelParams(**kwargs)
+    with pytest.raises(DomainError, match="total distance must be positive, got nan"):
+        link_grid(math.nan)  # before int(), which raised a bare ValueError
