@@ -38,8 +38,8 @@ from .oracle import (CodewordSet, dense_distance, expand_stabilizer,
                      knill_laflamme_check, reduced_entropy)
 from .pauli import StateVector
 from .reduction import derive_family, to_reduction_friendly
-from .repeater import (ChannelParams, LinkPlan, cost_report, figure_rows,
-                       loss_probability, optimal_k_table, p_success, rate)
+from .repeater import (MAX_LTOT_KM, MIN_LINK_KM, ChannelParams, LinkPlan, cost_report,
+                       figure_rows, loss_probability, optimal_k_table, p_success, rate)
 
 PASS, FAIL, USAGE_ERROR, BUDGET_ERROR = 0, 1, 2, 3
 
@@ -120,6 +120,8 @@ def cmd_children(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    if args.kl_d is not None and args.kl_d < 1:
+        raise DomainError(f"--kl-d must be at least 1, got {args.kl_d}")
     if args.state:
         if not args.q:
             raise DomainError("--state needs --q to fix the local dimension")
@@ -163,7 +165,7 @@ def cmd_oracle(args) -> int:
                 for a in itertools.combinations(range(cw.n), size)]
         print(f"entropy |A|={size}: min {min(ents):.6f}  max {max(ents):.6f} bits")
     verdict = PASS
-    if args.kl_d:
+    if args.kl_d is not None:
         witness = knill_laflamme_check(cw, args.kl_d)
         if witness is None:
             print(f"knill-laflamme at d={args.kl_d}: pass")
@@ -191,6 +193,11 @@ def cmd_rate(args) -> int:
             raise DomainError(f"--ltot {args.ltot:g} km over --l0 {args.l0:g} km is not a "
                               f"finite link count")
         links = max(1, round(args.ltot / args.l0))
+        max_links = MAX_LTOT_KM / MIN_LINK_KM
+        if links > max_links:
+            raise DomainError(f"--ltot {args.ltot:g} km over --l0 {args.l0:g} km is {links:.3g} "
+                              f"links, above the bound of {max_links:.0f} "
+                              f"({MAX_LTOT_KM:g} km in links of {MIN_LINK_KM:g} km)")
         plan = LinkPlan(args.ltot, links)
         ps = p_success(code, loss_probability(plan.l0, ch))
         print(f"plan: {plan.links} links of {plan.l0:.3f} km")

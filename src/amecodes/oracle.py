@@ -5,8 +5,12 @@ Everything here works on explicit amplitude vectors (budget: q**n up to
 cross-check it: stabilizer-state expansion, projection codewords,
 Knill-Laflamme verification, reduced-state entropies.
 
-Conventions: omega = exp(2*pi*i/p); summation order over basis indices
-is ascending, making results bit-stable.  Inside the eigenspace
+Conventions: omega = exp(2*pi*i/p).  The Knill-Laflamme and distance
+scans batch the errors of one site subset, so a code-space matrix
+element may differ from a one-error-at-a-time sum in its last bits;
+what is stable is the witness, the first flagged error in
+enumerate_errors order, under fixed tolerances (KL_TOL for the scalar
+test, 1/2 for a state's expectation value).  Inside the eigenspace
 projector, p = 2 generators with mixed X/Z sites are lifted by
 i**tr(a*b) per site (the Hermitian convention) so that every generator
 has order p, which the projector formula (1/p) * sum_s g**s requires;
@@ -24,11 +28,12 @@ import numpy as np
 from .codes import GeneratorTable, check_commutation, check_independence
 from .errors import DomainError, PhaseConsistencyError, ResourceBudgetError
 from .fields import Field
-from .pauli import PauliString, StateVector, dense_action, enumerate_errors
+from .pauli import PauliString, StateVector, dense_action
 
 DENSE_BUDGET = 4096
 KL_TOL = 1e-9
 ORTHO_TOL = 1e-10
+_BLOCK_ENTRIES = 2**16
 
 
 @dataclass(frozen=True)
@@ -138,29 +143,95 @@ def ame_projection_codewords(state: StateVector, message_sites: int) -> Codeword
     return CodewordSet(state.field, rest, tuple(words))
 
 
-def _gram_matrix(words: np.ndarray, op: PauliString) -> np.ndarray:
-    """K x K matrix of <w_m| op |w_m'> for the K codewords as rows of ``words``."""
-    perm, factor = dense_action(op)
-    applied = np.zeros_like(words)
-    applied[:, perm] = factor * words
-    return words.conj() @ applied.T
+def _digits(index, q: int, w: int) -> np.ndarray:
+    """Base-q digits of each index, w to a row, site 0 most significant."""
+    return np.asarray(index)[:, None] // q ** np.arange(w - 1, -1, -1) % q
 
 
-def _scalar_deviation(mat: np.ndarray) -> float:
-    """Infinity-norm distance from the nearest scalar multiple of identity."""
-    c = np.trace(mat) / mat.shape[0]
-    return float(np.max(np.abs(mat - c * np.eye(mat.shape[0]))))
+def _x_block(field: Field, w: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Tables of the X parts lo..hi-1 on w sites: ``lp[x, a]``, the index of
+    a + x, and ``valid[x, z]``, true when X_x Z_z acts on all w sites.  Built
+    one site at a time from ``add_table``, as ``dense_action`` builds its
+    permutation."""
+    q = field.q
+    lp = np.zeros((hi - lo, 1), dtype=np.int64)
+    valid = np.ones((hi - lo, 1), dtype=bool)
+    for x in _digits(np.arange(lo, hi), q, w).T:
+        lp = (lp[:, :, None] * q + field.add_table[x][:, None, :]).reshape(hi - lo, -1)
+        valid = (valid[:, :, None] & ((x != 0)[:, None, None] | (np.arange(q) != 0))
+                 ).reshape(hi - lo, -1)
+    return lp, valid
 
 
-def _first_error(c: CodewordSet, w_max: int, flags) -> PauliString | None:
+def _first_error(c: CodewordSet, w_max: int, scalar: bool, tol: float) -> PauliString | None:
     """The first error of weight 1..w_max, in enumerate_errors order, whose
-    code-space matrix <w_m| E |w_m'> satisfies ``flags``; None if none does."""
+    code-space matrix G = <w_m| E |w_m'> is flagged, or None.  With
+    ``scalar`` G is flagged when max |G - (tr G / K) I| > tol, which a
+    1 x 1 matrix never is; otherwise when |G_00| > 1/2.
+
+    The errors on one site subset A are one batch.  Write the codewords
+    as W[a, m, r], a the digits on A and r those on the other sites.  An
+    error with X part x and Z part z on A has G = sum_a omega**tr(z.a)
+    D_x[a], where D_x[a, m, m'] = sum_r conj(W[a + x, m, r]) W[a, m', r].
+    So a block of X parts costs one gather of W and one batched product,
+    and all their Z parts one q x q character transform per site.  The
+    subset's flagged error first in enumerate_errors order is the witness.
+
+    Memory: a block of X parts is sized so that no array exceeds
+    max(_BLOCK_ENTRIES, K q^n + K^2) entries, the larger being a per-error
+    Gram computation's working set; a block holds at least one X part,
+    whose q^w K^2 Gram stack is within K q^n at every weight the scan
+    reaches when K <= q^(n-1), by the quantum Singleton bound.
+    """
     _check_budget(c.field, c.n)
-    words = np.array([w.amplitudes for w in c.words])
+    f, n, K = c.field, c.n, c.K
+    q = f.q
+    words = np.array([w.amplitudes for w in c.words]).reshape((K,) + (q,) * n)
+    char = np.exp(2j * np.pi / f.p) ** f.trmul_table  # char[z, a] = omega**tr(z a)
+    cap = max(_BLOCK_ENTRIES, K * q**n + K * K)
     for w in range(1, w_max + 1):
-        for err in enumerate_errors(c.field, c.n, w):
-            if flags(_gram_matrix(words, err)):
-                return err
+        if w > n:
+            raise DomainError(f"weight {w} out of range for n={n}")
+        if scalar and K == 1:
+            continue
+        step = max(1, cap // max(K * q**n, q**w * K * K))
+        blocks = [(lo, min(lo + step, q**w)) for lo in range(0, q**w, step)]
+        tables = _x_block(f, w, *blocks[0]) if len(blocks) == 1 else None
+        for sites in itertools.combinations(range(n), w):
+            a_axes = [s + 1 for s in sites]
+            r_axes = [s + 1 for s in range(n) if s not in sites]
+            wc = np.transpose(words, a_axes + [0] + r_axes).reshape(q**w, K, -1).conj()
+            wt = np.transpose(words, a_axes + r_axes + [0]).reshape(q**w, -1, K)
+            best = None
+            for lo, hi in blocks:
+                lp, valid = tables or _x_block(f, w, lo, hi)
+                # g[x, a, m, m'] = D_x[a, m, m'], then site by site a -> z
+                # into g[x, z, m, m'] by one small product per X part and
+                # leading digits: OpenBLAS runs complex products above about
+                # 64k multiply-adds on more threads, which made them up to
+                # 40 times slower on a 2-core VM
+                g = np.matmul(wc[lp.T].reshape(q**w, -1, q ** (n - w)), wt)
+                g = g.reshape(q**w, hi - lo, K * K).transpose(1, 0, 2)
+                for s in range(w):
+                    g = np.matmul(char, g.reshape((hi - lo) * q**s, q, -1))
+                g = g.reshape(hi - lo, q**w, K, K)
+                if scalar:
+                    dev = g - np.einsum("xzmm->xz", g)[:, :, None, None] / K * np.eye(K)
+                    hit = np.abs(dev).max(axis=(2, 3)) > tol
+                else:
+                    hit = np.abs(g[:, :, 0, 0]) > 0.5
+                xs, zs = np.nonzero(hit & valid)
+                if len(xs):
+                    pairs = _digits(lo + xs, q, w) * q + _digits(zs, q, w) - 1
+                    flat = pairs @ (q * q - 1) ** np.arange(w - 1, -1, -1)
+                    i = int(np.argmin(flat))
+                    if best is None or flat[i] < best[0]:
+                        best = flat[i], pairs[i]
+            if best is not None:
+                full = [(0, 0)] * n
+                for s, pair in zip(sites, best[1].tolist()):
+                    full[s] = divmod(pair + 1, q)
+                return PauliString(f, tuple(full))
     return None
 
 
@@ -174,7 +245,9 @@ def knill_laflamme_check(
     single operators of weight < d, so the scan enumerates those; the
     returned witness G stands for any pair with E†F = G.
     """
-    return _first_error(c, d - 1, lambda m: _scalar_deviation(m) > tol)
+    if d < 1:
+        raise DomainError(f"d must be at least 1, got {d}")
+    return _first_error(c, d - 1, True, tol)
 
 
 def dense_distance(c: CodewordSet, d_max: int, tol: float = KL_TOL) -> int | None:
@@ -185,10 +258,7 @@ def dense_distance(c: CodewordSet, d_max: int, tol: float = KL_TOL) -> int | Non
     of an operator with nonzero expectation value, i.e. of a stabilizer
     element, matching the k = 0 distance convention.
     """
-    if c.K == 1:
-        err = _first_error(c, min(d_max, c.n), lambda m: abs(m[0, 0]) > 0.5)
-    else:
-        err = _first_error(c, min(d_max, c.n), lambda m: _scalar_deviation(m) > tol)
+    err = _first_error(c, min(d_max, c.n), c.K > 1, tol)
     return None if err is None else err.weight()
 
 

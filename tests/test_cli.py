@@ -280,3 +280,30 @@ def test_verify_dmax_below_one_exit_2(capsys):
         assert f"--dmax must be at least 1, got {dmax}" in err
     code, out, _ = run(capsys, "verify", str(catalog_dir() / "ame_5_2.stabtab"), "--dmax", "1")
     assert code == 1 and "distance: >1 (scanned to 1)" in out
+
+
+def test_oracle_kl_d_below_one_exit_2(capsys):
+    table = str(catalog_dir() / "ame_5_2.stabtab")
+    for kl_d in ("-3", "0"):
+        code, out, err = run(capsys, "oracle", table, "--kl-d", kl_d)
+        assert code == 2 and out == ""
+        assert f"--kl-d must be at least 1, got {kl_d}" in err
+    code, out, _ = run(capsys, "oracle", table, "--kl-d", "1")
+    assert code == 0 and "knill-laflamme at d=1: pass" in out
+
+
+def test_oracle_kl_d_beyond_n(capsys):
+    # a state passes every weight <= n, then the range error; a code fails first
+    code, out, err = run(capsys, "oracle", str(catalog_dir() / "ame_5_2.stabtab"), "--kl-d", "7")
+    assert code == 2 and "error: weight 6 out of range for n=5" in err
+    code, out, _ = run(capsys, "oracle", str(catalog_dir() / "code_4_1_2_2.stabtab"),
+                       "--kl-d", "9")
+    assert code == 1 and "FAIL" in out and "(weight 2)" in out
+
+
+def test_rate_fixed_l0_beyond_link_bound_exit_2(capsys):
+    code, out, err = run(capsys, "rate", *CODE_FLAGS, "--ltot", "1000", "--l0", "1e-300")
+    assert code == 2 and out == ""
+    assert "is 1e+303 links, above the bound of 1000000" in err
+    code, out, _ = run(capsys, "rate", *CODE_FLAGS, "--ltot", "1000", "--l0", "0.001")
+    assert code == 0 and "plan: 1000000 links" in out

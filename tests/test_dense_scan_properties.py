@@ -1,0 +1,159 @@
+"""Property tests: the dense oracle's batched error scan, behind
+``knill_laflamme_check`` and ``dense_distance``, returns the same witness
+as a walk over ``enumerate_errors`` that applies each error as a product
+of ``tests/oracles.dense_pauli`` site matrices and tests one code-space
+matrix at a time, whatever the block size; and it holds no more than a
+few blocks in memory on a q^n = 4096 state scanned to weight n.
+
+Inputs: the codewords of random stabilizer tables (scrambled graph states
+over Z_2, Z_3, Z_5 and GF(4), cut to k = 0-2) and random orthonormal
+K-dimensional subspaces, none of them stabilizer codes, with q^n <= 1024.
+"""
+
+import tracemalloc
+from unittest import mock
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from amecodes import linalg, oracle
+from amecodes.codes import GeneratorTable
+from amecodes.errors import DomainError
+from amecodes.fields import GF
+from amecodes.oracle import (KL_TOL, CodewordSet, dense_distance, expand_stabilizer,
+                             knill_laflamme_check)
+from amecodes.pauli import PauliString, StateVector, enumerate_errors, error_count
+from oracles import dense_pauli
+from test_distance_properties import graph_state
+
+# (q, largest n) with q^n <= 1024
+SIZES = [(2, 10), (3, 6), (5, 4), (4, 5)]
+BLOCKS = (1, 1031, oracle._BLOCK_ENTRIES)
+# errors the reference walk may visit per check
+REFERENCE_ERRORS = 3000
+
+
+def reference_first_error(c, w_max, scalar):
+    """First error of weight 1..w_max in enumerate_errors order whose matrix
+    G = <w_m| E |w_m'> is flagged (scalar: max |G - tr G / K I| > KL_TOL;
+    otherwise |G_00| > 1/2), with E applied site by site from dense_pauli."""
+    f, n, K = c.field, c.n, c.K
+    words = np.array([w.amplitudes for w in c.words]).reshape((K,) + (f.q,) * n)
+    for w in range(1, w_max + 1):
+        for err in enumerate_errors(f, n, w):  # raises past weight n
+            out = words
+            for s, pair in enumerate(err.sites):
+                if pair != (0, 0):
+                    out = np.moveaxis(
+                        np.tensordot(dense_pauli(f, [pair]), out, axes=([1], [s + 1])), 0, s + 1)
+            g = words.reshape(K, -1).conj() @ out.reshape(K, -1).T
+            if scalar:
+                flagged = np.abs(g - np.trace(g) / K * np.eye(K)).max() > KL_TOL
+            else:
+                flagged = abs(g[0, 0]) > 0.5
+            if flagged:
+                return err
+    return None
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except DomainError as exc:
+        return str(exc)
+
+
+def deepest(field, n):
+    """Largest weight whose scan, with the lower weights, stays within
+    REFERENCE_ERRORS errors."""
+    total, w = 0, 0
+    while w < n and total + error_count(field, n, w + 1) <= REFERENCE_ERRORS:
+        w += 1
+        total += error_count(field, n, w)
+    return max(w, 1)
+
+
+@st.composite
+def table_codewords(draw):
+    """Codewords of a graph state over Z_p or GF(4), its rows mixed by a
+    random invertible Z_p matrix, keeping the first m(n - k) rows."""
+    q, n_max = draw(st.sampled_from(SIZES))
+    field = GF(q)
+    n = draw(st.integers(2, n_max))
+    low = draw(st.integers(0, 1))  # 1: a complete graph, of larger distance
+    adjacency = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            adjacency[i][j] = adjacency[j][i] = draw(st.integers(low, q - 1))
+    state = graph_state(field, adjacency)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p, rows = field.p, len(state.gens)
+    c = rng.integers(0, p, size=(rows, rows))
+    while linalg.rank(c, p) < rows:
+        c = rng.integers(0, p, size=(rows, rows))
+    k = draw(st.integers(0, min(2, n - 1)))
+    mat = (c @ state.symplectic_matrix()) % p
+    return expand_stabilizer(GeneratorTable.from_matrix(field, n, mat[: field.m * (n - k)]))
+
+
+@st.composite
+def random_subspaces(draw):
+    """An orthonormal basis of a random K-dimensional subspace (K = 1-4)."""
+    q, n_max = draw(st.sampled_from(SIZES))
+    field = GF(q)
+    n = draw(st.integers(1, n_max))
+    K = draw(st.integers(1, min(4, q**n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    basis = np.linalg.qr(rng.normal(size=(q**n, K)) + 1j * rng.normal(size=(q**n, K)))[0]
+    return CodewordSet(field, n, tuple(StateVector(field, n, b) for b in basis.T))
+
+
+def check_against_reference(c):
+    """Both checks as deep as the reference's budget allows: past n + 1 for
+    Knill-Laflamme (the range error) on inputs small enough to scan whole."""
+    top = deepest(c.field, c.n)
+    d = top + 2 if top == c.n else top + 1
+    kl = outcome(reference_first_error, c, d - 1, True)
+    dist = reference_first_error(c, top, c.K > 1)
+    dist = None if dist is None else dist.weight()
+    for block in BLOCKS:
+        with mock.patch.object(oracle, "_BLOCK_ENTRIES", block):
+            assert outcome(knill_laflamme_check, c, d) == kl, block
+            assert dense_distance(c, top) == dist, block
+
+
+# a [[3,1]]_5 code whose weight-2 witness z1 x3 i has X part (0, 3) on sites
+# (0, 1), while X part (0, 1), scanned earlier, flags only the later z4 x1 i
+CODE_3_1_5 = GeneratorTable(GF(5), 3, tuple(
+    PauliString.from_tokens(GF(5), row.split()) for row in ("z3 x3 z3", "x3z2 x3z1 x3z2")))
+
+
+@settings(max_examples=30, deadline=None)
+@given(table_codewords())
+@example(expand_stabilizer(CODE_3_1_5))
+def test_scan_matches_the_per_error_walk_on_stabilizer_codes(c):
+    check_against_reference(c)
+
+
+@settings(max_examples=30, deadline=None)
+@given(random_subspaces())
+def test_scan_matches_the_per_error_walk_on_random_subspaces(c):
+    check_against_reference(c)
+
+
+def test_scan_to_weight_n_stays_within_a_few_blocks():
+    # a random GF(8) state has no weight <= 4 error with |<E>| > 1/2, so the
+    # scan visits all 8^8 - 1 errors; all of them at once would be 256 MiB
+    field, n = GF(8), 4
+    rng = np.random.default_rng(1)
+    v = rng.normal(size=field.q**n) + 1j * rng.normal(size=field.q**n)
+    c = CodewordSet(field, n, (StateVector(field, n, v / np.linalg.norm(v)),))
+    tracemalloc.start()
+    try:
+        assert dense_distance(c, n) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block_bytes = 16 * max(oracle._BLOCK_ENTRIES, c.K * field.q**n + c.K**2)
+    assert peak < 8 * block_bytes, peak

@@ -155,6 +155,14 @@ def test_kl_pass_and_fail_with_weight_two_witness():
     assert dense_distance(cw, 3) == 2
 
 
+def test_kl_refuses_d_below_one():
+    cw = qecc312_words()
+    for d in (0, -3):
+        with pytest.raises(DomainError, match=f"d must be at least 1, got {d}"):
+            knill_laflamme_check(cw, d)
+    assert knill_laflamme_check(cw, 1) is None
+
+
 def test_kl_single_codeword_is_scalar_by_construction():
     t = stabtab.parse(AME_4_3)
     cw = expand_stabilizer(t)
