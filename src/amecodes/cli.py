@@ -38,8 +38,8 @@ from .oracle import (CodewordSet, dense_distance, expand_stabilizer,
                      knill_laflamme_check, reduced_entropy)
 from .pauli import StateVector
 from .reduction import derive_family, to_reduction_friendly
-from .repeater import (MAX_LTOT_KM, MIN_LINK_KM, ChannelParams, LinkPlan, cost_report,
-                       figure_rows, loss_probability, optimal_k_table, p_success, rate)
+from .repeater import (ChannelParams, LinkPlan, cost_report, figure_rows, fixed_link_count,
+                       loss_probability, optimal_k_table, p_success, rate)
 
 PASS, FAIL, USAGE_ERROR, BUDGET_ERROR = 0, 1, 2, 3
 
@@ -187,18 +187,7 @@ def cmd_rate(args) -> int:
         print(f"p_success per link: {report.p_success:.6g}")
         print(f"rate R*t0: {report.rate_t0:.6g}")
     else:
-        if not 0 < args.l0 < math.inf:
-            raise DomainError(f"--l0 must be a positive link length in km, got {args.l0:g}")
-        if not math.isfinite(args.ltot / args.l0):
-            raise DomainError(f"--ltot {args.ltot:g} km over --l0 {args.l0:g} km is not a "
-                              f"finite link count")
-        links = max(1, round(args.ltot / args.l0))
-        max_links = MAX_LTOT_KM / MIN_LINK_KM
-        if links > max_links:
-            raise DomainError(f"--ltot {args.ltot:g} km over --l0 {args.l0:g} km is {links:.3g} "
-                              f"links, above the bound of {max_links:.0f} "
-                              f"({MAX_LTOT_KM:g} km in links of {MIN_LINK_KM:g} km)")
-        plan = LinkPlan(args.ltot, links)
+        plan = LinkPlan(args.ltot, fixed_link_count(args.ltot, args.l0))
         ps = p_success(code, loss_probability(plan.l0, ch))
         print(f"plan: {plan.links} links of {plan.l0:.3f} km")
         print(f"p_success per link: {ps:.6g}")

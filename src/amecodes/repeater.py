@@ -15,8 +15,12 @@ Cost coefficients, each minimized over the link length,
 
 share their argmin (the numerators differ by a constant factor) and are
 independent of t0 since R carries 1/t0.  The L0 grid is the physically
-meaningful one: integer link counts r = 1..floor(L_tot / 0.1 km).  All
-kernels are stateless and deterministic; sweeps vectorize over r.
+meaningful one: integer link counts r = 1..floor(L_tot / 0.1 km), and
+sweeps vectorize over r.  At a fixed distance and channel the survival
+curve P_success^r depends only on (n, d); k and q only scale it.  One
+optimizer builds each (n, d) curve once per distance and shares it
+among every code of a call that has that (n, d); nothing is cached
+across calls.
 """
 
 from __future__ import annotations
@@ -114,13 +118,6 @@ def rate(code: CodeParams, plan: LinkPlan, ch: ChannelParams) -> float:
     return code.k * math.log2(code.q) * ps**plan.links
 
 
-def _p_success_grid(code: CodeParams, p_loss: np.ndarray) -> np.ndarray:
-    acc = np.zeros_like(p_loss)
-    for j in range(min(code.d - 1, code.n) + 1):
-        acc = acc + math.comb(code.n, j) * p_loss**j * (1.0 - p_loss) ** (code.n - j)
-    return np.minimum(acc, 1.0)
-
-
 def link_grid(l_tot: float) -> np.ndarray:
     """Integer link counts 1..floor(L_tot / 0.1 km), for L_tot up to 100,000 km."""
     if not l_tot > 0:  # NaN included
@@ -133,33 +130,75 @@ def link_grid(l_tot: float) -> np.ndarray:
     return np.arange(1, r_max + 1)
 
 
-def _minimize_cost(
-    code: CodeParams, l_tot: float, ch: ChannelParams, numerator: float
-) -> tuple[float, LinkPlan, float]:
-    """Minimum of numerator / (L0 * R * t0) over the integer-r grid (t0
-    cancels), its plan, and L0 * R * t0 at that plan."""
-    if code.k == 0:
+def fixed_link_count(l_tot: float, l0: float) -> int:
+    """round(L_tot / L0) links, at least one, for a fixed link length L0
+    that is positive and finite; at most the 10^6 links of ``link_grid``."""
+    if not 0 < l0 < math.inf:
+        raise DomainError(f"--l0 must be a positive link length in km, got {l0:g}")
+    if not math.isfinite(l_tot / l0):
+        raise DomainError(f"--ltot {l_tot:g} km over --l0 {l0:g} km is not a "
+                          f"finite link count")
+    links = max(1, round(l_tot / l0))
+    max_links = MAX_LTOT_KM / MIN_LINK_KM
+    if links > max_links:
+        raise DomainError(f"--ltot {l_tot:g} km over --l0 {l0:g} km is {links:.3g} "
+                          f"links, above the bound of {max_links:.0f} "
+                          f"({MAX_LTOT_KM:g} km in links of {MIN_LINK_KM:g} km)")
+    return links
+
+
+def _hardware(code: CodeParams) -> float:
+    return code.n * math.log2(code.q)
+
+
+def _per_photon(code: CodeParams) -> float:
+    return code.n * code.q
+
+
+def _minimize_costs(
+    codes: list[CodeParams], l_tot: float, ch: ChannelParams, numerator
+) -> dict[CodeParams, tuple[float, LinkPlan, float]]:
+    """Per code: the minimum of numerator(code) / (L0 * R * t0) over the
+    integer-r grid (t0 cancels), its plan, and L0 * R * t0 at that plan.
+
+    Codes are taken in (n, d) order.  Codes with the same n share the
+    running binomial sum, and each (n, d) survival curve is built once,
+    used by every code with that (n, d), and dropped for the next.
+    """
+    if any(code.k == 0 for code in codes):
         raise DomainError("cost factors need k >= 1 (no information transmitted)")
+    if not codes:
+        return {}
     r = link_grid(l_tot)
     l0 = l_tot / r
     p_l = 1.0 - ch.eta_c * np.exp(-l0 / ch.l_att)
-    ps = _p_success_grid(code, p_l)
-    rt0 = code.k * math.log2(code.q) * ps**r
-    throughput = l0 * rt0
-    with np.errstate(divide="ignore", over="ignore"):
-        cost = numerator / throughput
-    i = int(np.argmin(cost))
-    return float(cost[i]), LinkPlan(l_tot, int(r[i])), throughput[i]
+    out = {}
+    n = d = None
+    for code in sorted(codes, key=lambda c: (c.n, c.d)):
+        if code.n != n:
+            n, d, j, acc = code.n, None, 0, np.zeros_like(p_l)
+        if code.d != d:
+            d = code.d
+            while j <= min(d - 1, n):
+                acc = acc + math.comb(n, j) * p_l**j * (1.0 - p_l) ** (n - j)
+                j += 1
+            survival = np.minimum(acc, 1.0) ** r
+        throughput = l0 * (code.k * math.log2(code.q) * survival)
+        with np.errstate(divide="ignore", over="ignore"):
+            cost = numerator(code) / throughput
+        best = int(np.argmin(cost))
+        out[code] = float(cost[best]), LinkPlan(l_tot, int(r[best])), throughput[best]
+    return out
 
 
 def cost_short_term(code: CodeParams, l_tot: float, ch: ChannelParams) -> tuple[float, LinkPlan]:
     """Minimized hardware cost factor n log2(q) / (L0 R t0) and its argmin."""
-    return _minimize_cost(code, l_tot, ch, code.n * math.log2(code.q))[:2]
+    return _minimize_costs([code], l_tot, ch, _hardware)[code][:2]
 
 
 def cost_long_term(code: CodeParams, l_tot: float, ch: ChannelParams) -> tuple[float, LinkPlan]:
     """Minimized running cost factor n q / (L0 R t0) and its argmin."""
-    return _minimize_cost(code, l_tot, ch, code.n * code.q)[:2]
+    return _minimize_costs([code], l_tot, ch, _per_photon)[code][:2]
 
 
 def _require_finite(cost: float, code: CodeParams, l_tot: float, ch: ChannelParams) -> None:
@@ -184,7 +223,7 @@ def cost_report(code: CodeParams, l_tot: float, ch: ChannelParams) -> CostReport
     Raises DomainError when no link count gives a finite cost (nothing
     arrives, e.g. eta_c = 0, or the rate underflows).
     """
-    c_st, plan, throughput = _minimize_cost(code, l_tot, ch, code.n * math.log2(code.q))
+    c_st, plan, throughput = _minimize_costs([code], l_tot, ch, _hardware)[code]
     _require_finite(c_st, code, l_tot, ch)
     c_lt = float(code.n * code.q / throughput)
     ps = p_success(code, loss_probability(plan.l0, ch))
@@ -199,17 +238,22 @@ def children_params(n: int, q: int) -> list[CodeParams]:
     ]
 
 
+def _optimal_ks(
+    families: dict[tuple[int, int], list[CodeParams]], l_tot: float, ch: ChannelParams
+) -> dict[tuple[int, int], int]:
+    """Per AME(n,q) child family, the k minimizing C_LT at one distance
+    (ties pick smaller k), all families in one optimizer call."""
+    for (n, q), kids in families.items():
+        if not kids:
+            raise DomainError(f"AME({n},{q}) has no children with distance >= 2")
+    codes = [code for kids in families.values() for code in kids]
+    costs = _minimize_costs(codes, l_tot, ch, _per_photon)
+    return {cell: min(kids, key=lambda c: costs[c][0]).k for cell, kids in families.items()}
+
+
 def optimal_k(n: int, q: int, l_tot: float, ch: ChannelParams) -> int:
     """The child k minimizing C_LT at the given distance; ties pick smaller k."""
-    kids = children_params(n, q)
-    if not kids:
-        raise DomainError(f"AME({n},{q}) has no children with distance >= 2")
-    best_k, best_c = None, None
-    for code in kids:
-        c, _ = cost_long_term(code, l_tot, ch)
-        if best_c is None or c < best_c:
-            best_k, best_c = code.k, c
-    return best_k
+    return _optimal_ks({(n, q): children_params(n, q)}, l_tot, ch)[(n, q)]
 
 
 def optimal_k_table(
@@ -221,13 +265,16 @@ def optimal_k_table(
 
     Cells marked ``exists`` get the computed optimal k; ``not-exists``
     and ``unknown`` pass through as '-' and '?' markers.  Output order
-    is deterministic in (n, q, distance).
+    is deterministic in (n, q, distance).  A table of markers alone
+    builds no curve, so it takes any distance.
     """
     ch = ch or ChannelParams()
+    families = {(n, q): children_params(n, q) for n, q, e in cells if e == "exists"}
+    columns = [_optimal_ks(families, l_tot, ch) for l_tot in distances]
     out: dict[tuple[int, int], list[str]] = {}
     for n, q, existence in sorted(cells):
         if existence == "exists":
-            out[(n, q)] = [str(optimal_k(n, q, d, ch)) for d in distances]
+            out[(n, q)] = [str(col[(n, q)]) for col in columns]
         elif existence == "not-exists":
             out[(n, q)] = ["-"] * len(distances)
         elif existence == "unknown":
@@ -247,17 +294,19 @@ def figure_rows(
     optimized short-term cost.  Keys double as the CSV header.
 
     Raises DomainError naming the first (L_tot, code) that has no finite
-    cost at any link count.
+    cost at any link count, and on a fixed L0 that ``fixed_link_count``
+    refuses.
     """
     ch = ch or ChannelParams()
     if rate_l0 <= 0:
         raise DomainError(f"the fixed link length must be positive, got {rate_l0:g} km")
     rows = []
     for l_tot in l_tots:
+        costs = _minimize_costs(codes, l_tot, ch, _hardware)
+        links = fixed_link_count(l_tot, rate_l0)
         for code in codes:
-            c_st, plan = cost_short_term(code, l_tot, ch)
+            c_st, plan, _ = costs[code]
             _require_finite(c_st, code, l_tot, ch)
-            links = max(1, round(l_tot / rate_l0))
             # fixed-L0 mode uses exactly L0 = rate_l0 over l_tot/rate_l0 links
             r_fixed = rate(code, LinkPlan(links * rate_l0, links), ch)
             rows.append(

@@ -4,12 +4,14 @@ Everything here is deliberately written from scratch against the
 definitions, without touching the package's tables or symplectic
 machinery, so expected values stay independent of the code paths they
 check: naive polynomial arithmetic over Z_p[x]/(modulus), dense Pauli
-matrices built by Kronecker products, and exhaustive searches.
+matrices built by Kronecker products, exhaustive searches, and the
+repeater cost curve evaluated on its own full link grid for each code.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -174,3 +176,37 @@ def first_undetectable(table, d_max):
                 if tuple(sites) not in group:
                     return w, tuple(sites)
     return None
+
+
+# -- one-way repeater: one full cost curve per code -----------------------------
+
+
+def repeater_costs(n, k, d, q, l_tot, l_att, eta_c, numerators):
+    """Per numerator: (min cost, argmin link count, L0 R t0 there) of
+    numerator / (L0 R t0) over r = 1..floor(L_tot / 0.1 km), from this
+    code's own full curve.  Float for float the per-code expression, so
+    an optimizer that shares curves between codes can be held to ==;
+    ties go to the smaller r."""
+    r = np.arange(1, max(1, int(l_tot / 0.1)) + 1)
+    l0 = l_tot / r
+    p_l = 1.0 - eta_c * np.exp(-l0 / l_att)
+    acc = np.zeros_like(p_l)
+    for j in range(min(d - 1, n) + 1):
+        acc = acc + math.comb(n, j) * p_l**j * (1.0 - p_l) ** (n - j)
+    throughput = l0 * (k * math.log2(q) * np.minimum(acc, 1.0) ** r)
+    out = []
+    with np.errstate(divide="ignore", over="ignore"):
+        for numerator in numerators:
+            cost = numerator / throughput
+            i = int(np.argmin(cost))
+            out.append((float(cost[i]), int(r[i]), throughput[i]))
+    return out
+
+
+def repeater_rate(n, k, d, q, l_tot, links, l_att, eta_c):
+    """(P_success per link, k log2(q) P_success^links) over equal links of
+    L_tot / links, with the binomial tail summed by math.fsum."""
+    p = 1.0 - eta_c * math.exp(-(l_tot / links) / l_att)
+    ps = min(math.fsum(math.comb(n, j) * p**j * (1.0 - p) ** (n - j)
+                       for j in range(min(d - 1, n) + 1)), 1.0)
+    return ps, k * math.log2(q) * ps**links

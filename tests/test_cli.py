@@ -307,3 +307,30 @@ def test_rate_fixed_l0_beyond_link_bound_exit_2(capsys):
     assert "is 1e+303 links, above the bound of 1000000" in err
     code, out, _ = run(capsys, "rate", *CODE_FLAGS, "--ltot", "1000", "--l0", "0.001")
     assert code == 0 and "plan: 1000000 links" in out
+
+
+@pytest.mark.parametrize("l0, message", [
+    ("1e-300", "--ltot 1000 km over --l0 1e-300 km is 1e+303 links, above the bound of 1000000"),
+    ("1e-6", "--ltot 1000 km over --l0 1e-06 km is 1e+09 links, above the bound of 1000000"),
+    ("inf", "--l0 must be a positive link length in km, got inf"),
+])
+def test_figure_fixed_l0_beyond_link_bound_exit_2(capsys, l0, message):
+    # these printed rates of 1, 0.999985 and 0 from meaningless link counts
+    code, out, err = run(capsys, "figure", "--ame", "5,2", "--ltots", "1000", "--l0", l0)
+    assert code == 2 and out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize("ltot, message", [
+    ("0", "total distance must be positive, got 0"),
+    ("-5", "total distance must be positive, got -5"),
+    ("1e12", "exceeds the 100000 km bound"),
+])
+def test_link_grid_refusals_exit_2_on_every_optimizing_command(capsys, ltot, message):
+    for argv in (["table", "--distances", "1000", ltot],
+                 ["cost", *CODE_FLAGS, "--ltot", ltot],
+                 ["figure", "--ame", "6,2", "--ltots", ltot],
+                 ["rate", *CODE_FLAGS, "--ltot", ltot, "--optimize"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert message in err, argv

@@ -1,17 +1,24 @@
 import math
 import random
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from amecodes.catalog import catalog_grid
 from amecodes.codes import CodeParams
 from amecodes.errors import DomainError
 from amecodes.repeater import (ChannelParams, LinkPlan, children_params,
                                cost_long_term, cost_report, cost_short_term,
                                figure_rows, link_grid, loss_probability,
                                optimal_k, optimal_k_table, p_success, rate)
+from oracles import repeater_costs, repeater_rate
 
 CH = ChannelParams()
+GRID = [(n, q, existence) for (n, q), existence in sorted(catalog_grid().items())]
 
 
 def test_loss_probability():
@@ -224,3 +231,129 @@ def test_non_finite_channel_and_distance_refused():
             ChannelParams(**kwargs)
     with pytest.raises(DomainError, match="total distance must be positive, got nan"):
         link_grid(math.nan)  # before int(), which raised a bare ValueError
+
+
+def test_figure_rows_refuses_a_nan_link_length():
+    # round(nan) raised an untyped ValueError; the CLI rejects nan before this
+    with pytest.raises(DomainError, match="--l0 must be a positive link length in km, got nan"):
+        figure_rows([CodeParams(5, 1, 3, 2)], [1000.0], CH, rate_l0=math.nan)
+
+
+def test_a_table_of_markers_takes_any_distance():
+    cells = [(4, 2, "not-exists"), (8, 6, "unknown")]
+    out = optimal_k_table(cells, [math.nan, -1.0, 0.0, 1e12], CH)
+    assert out == {(4, 2): ["-"] * 4, (8, 6): ["?"] * 4}
+
+
+@pytest.mark.parametrize("l_tot, message", [
+    (math.nan, "total distance must be positive, got nan"),
+    (0.0, "total distance must be positive, got 0"),
+    (-3.0, "total distance must be positive, got -3"),
+    (1e12, "exceeds the 100000 km bound"),
+])
+def test_every_optimizer_entry_refuses_what_link_grid_refuses(l_tot, message):
+    code = CodeParams(5, 1, 3, 2)
+    calls = [lambda: optimal_k_table([(6, 2, "exists")], [1000.0, l_tot], CH),
+             lambda: optimal_k(6, 2, l_tot, CH),
+             lambda: cost_short_term(code, l_tot, CH),
+             lambda: cost_long_term(code, l_tot, CH),
+             lambda: cost_report(code, l_tot, CH),
+             lambda: figure_rows([code], [1000.0, l_tot], CH)]
+    for call in calls:
+        with pytest.raises(DomainError, match=message):
+            call()
+
+
+def test_optimal_k_table_streams_its_curves():
+    # one (n, d) survival curve of the 10^5-point 10000 km column at a time;
+    # holding the column's 21 curves at once would take about 17 MB
+    tracemalloc.start()
+    try:
+        optimal_k_table(GRID, [1000.0, 10000.0], CH)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak
+
+
+# -- the shared-curve optimizer against one full curve per code ----------------
+
+
+def reference_children(n, q):
+    return [CodeParams(n - k, k, n // 2 + 1 - k, q) for k in range(1, n // 2)]
+
+
+def reference_costs(code, l_tot, ch):
+    """(C_ST, its link count, L0 R t0 there), (C_LT, its link count, ...)"""
+    return repeater_costs(code.n, code.k, code.d, code.q, l_tot, ch.l_att, ch.eta_c,
+                          [code.n * math.log2(code.q), code.n * code.q])
+
+
+def reference_optimal_k(kids, costs):
+    best_k, best_c = None, None
+    for code in kids:
+        c = costs[code][1][0]
+        if best_c is None or c < best_c:
+            best_k, best_c = code.k, c
+    return best_k
+
+
+@settings(max_examples=15, deadline=None)
+@given(ch=st.builds(ChannelParams, st.floats(5.0, 50.0), st.floats(0.5, 1.0)),
+       distances=st.lists(st.floats(0.1, 20000.0), min_size=1, max_size=2),
+       cells=st.lists(st.sampled_from(GRID), min_size=1, max_size=3, unique=True),
+       pick=st.integers(0, 100))
+@example(ch=ChannelParams(eta_c=0.0), distances=[0.1, 1000.0],
+         cells=[(14, 7, "exists"), (6, 2, "exists"), (7, 4, "unknown"), (4, 2, "not-exists")],
+         pick=4)
+@example(ch=ChannelParams(20.0, 0.98), distances=[10000.0],
+         cells=[(14, 7, "exists"), (12, 7, "exists")], pick=5)
+@example(ch=CH, distances=[1000.0, 10000.0], cells=[(12, 7, "exists"), (13, 7, "exists")],
+         pick=0)
+def test_optimizer_matches_one_full_curve_per_code(ch, distances, cells, pick):
+    families = {(n, q): reference_children(n, q) for n, q, e in sorted(cells) if e == "exists"}
+    kids = [code for family in families.values() for code in family]
+    costs = [{code: reference_costs(code, l_tot, ch) for code in kids} for l_tot in distances]
+
+    want = {(n, q): {"not-exists": ["-"], "unknown": ["?"]}[e] * len(distances)
+            for n, q, e in cells if e != "exists"}
+    for cell, family in families.items():
+        ks = [reference_optimal_k(family, col) for col in costs]
+        assert [optimal_k(*cell, l_tot, ch) for l_tot in distances] == ks
+        want[cell] = [str(k) for k in ks]
+    assert optimal_k_table(cells, distances, ch) == want
+
+    if kids:
+        code = kids[pick % len(kids)]
+        for l_tot, col in zip(distances, costs):
+            (c_st, r_st, throughput), (c_lt, r_lt, _) = col[code]
+            assert cost_short_term(code, l_tot, ch) == (c_st, LinkPlan(l_tot, r_st))
+            assert cost_long_term(code, l_tot, ch) == (c_lt, LinkPlan(l_tot, r_lt))
+            if c_st == math.inf:
+                with pytest.raises(DomainError, match="no finite cost"):
+                    cost_report(code, l_tot, ch)
+                continue
+            ps, rt0 = repeater_rate(code.n, code.k, code.d, code.q, l_tot, r_st,
+                                    ch.l_att, ch.eta_c)
+            rep = cost_report(code, l_tot, ch)
+            assert (rep.c_st, rep.plan, rep.c_lt) == (
+                c_st, LinkPlan(l_tot, r_st), float(code.n * code.q / throughput))
+            assert (rep.p_success, rep.rate_t0) == (ps, rt0)
+
+    rows, first_inf = [], None
+    for l_tot, col in zip(distances, costs):
+        links = max(1, round(l_tot / 1.0))
+        for code in kids:
+            (c_st, r_st, _), _ = col[code]
+            if c_st == math.inf and first_inf is None:
+                first_inf = f"{code.label()} over {l_tot:g} km has no finite cost"
+            rows.append({"ltot_km": l_tot, "code": code.label(),
+                         "rate_t0_fixed_l0": repeater_rate(code.n, code.k, code.d, code.q,
+                                                           links * 1.0, links,
+                                                           ch.l_att, ch.eta_c)[1],
+                         "c_st": c_st, "opt_l0_km": l_tot / r_st})
+    if first_inf:
+        with pytest.raises(DomainError, match=re.escape(first_inf)):
+            figure_rows(kids, distances, ch)
+    else:
+        assert figure_rows(kids, distances, ch) == rows
