@@ -14,6 +14,17 @@ and distance (a scan over weighted errors).  Distance semantics:
 
 Scans partition cleanly by weight class and are deterministic: errors
 are visited in the lexicographic order of :func:`~amecodes.pauli.enumerate_errors`.
+A syndrome is the vector of commutation exponents against the N
+generators, summed over an error's sites.  For p = 2 (q = 2, 4, 8) it is
+a bit vector, packed by :func:`~amecodes.linalg.pack_bits` into
+ceil(N / 64) ``uint64`` words, and syndromes add by XOR (the tableau
+packing of Aaronson and Gottesman, PRA 70, 052328 (2004)); for p > 2 they
+are Z_p vectors added as integers and reduced mod p.  A class whose site
+subsets each hold at most ``_BLOCK_ROWS`` errors is scanned in chunks of
+whole subsets, as many consecutive subsets of the lexicographic order as
+fill ``_BLOCK_ROWS`` rows, with the syndromes of a chunk built by
+broadcasting over its sites; zero rows are taken in (subset, flat row)
+order, so the first one that counts is the first witness.
 A class whose site subsets each hold more than ``_BLOCK_ROWS`` errors is
 first screened by rank (Scott, PRA 69, 052330 (2004)): with M the table
 matrix, N its row count, Omega the trace form and r_out the rank of M on
@@ -44,8 +55,8 @@ from .fields import Field
 from .pauli import PauliString, error_count, sites_from_matrix
 
 DEFAULT_DISTANCE_BUDGET = 10**9
-# errors of one site subset that a distance scan holds at once; weight classes
-# whose subsets hold more are rank-screened first (see the module docstring)
+# errors a distance scan holds at once; weight classes whose subsets each
+# hold more are rank-screened first (see the module docstring)
 _BLOCK_ROWS = 2**12
 
 QMDS = "QMDS"
@@ -230,22 +241,28 @@ def find_min_undetectable(
     pair_vecs = f.coeff_matrix[np.array(pairs)].reshape(n_pairs, 2 * m)
     site_map = _commutation_map(table).reshape(n, 2 * m, n_gens)
     site_syn = (pair_vecs @ site_map) % p
+    if p == 2:
+        # bit vectors: one XOR per 64 generators adds two syndromes
+        syn, add = linalg.pack_bits(site_syn), np.bitwise_xor
+    else:
+        syn, add = site_syn, np.add
     k = table.k
     if k > 0:
         red, pivots = linalg.rref(table.symplectic_matrix(), p)
 
-    def first_undetectable(sites, zero_rows, offset):
-        """The error of the first zero-syndrome row (flat index offset + row)
-        that counts: any for k = 0, one outside the stabilizer group for k > 0."""
-        for row in zero_rows:
-            combo = np.unravel_index(offset + row, (n_pairs,) * len(sites))
-            err_vec = np.zeros((n, 2 * m), dtype=np.int64)
-            err_vec[list(sites)] = pair_vecs[list(combo)]
-            err_vec = err_vec.reshape(-1)
-            if k > 0 and not np.any(linalg.reduce_against(err_vec, red, pivots, p)):
-                continue  # a stabilizer element: degenerate, not a logical
-            return PauliString.from_symplectic(f, err_vec, n)
-        return None
+    def undetectable(sites, row):
+        """The error of flat row ``row`` of ``sites``, a zero-syndrome row, if
+        it counts: always for k = 0, outside the stabilizer group for k > 0."""
+        combo = np.unravel_index(row, (n_pairs,) * len(sites))
+        err_vec = np.zeros((n, 2 * m), dtype=np.int64)
+        err_vec[list(sites)] = pair_vecs[list(combo)]
+        err_vec = err_vec.reshape(-1)
+        if k > 0 and not np.any(linalg.reduce_against(err_vec, red, pivots, p)):
+            return None  # a stabilizer element: degenerate, not a logical
+        return PauliString.from_symplectic(f, err_vec, n)
+
+    def is_zero(block):
+        return ~(block if p == 2 else block % p).any(axis=-1)
 
     def supports_undetectable(sites) -> bool:
         """Rank screen: some undetectable error is supported inside ``sites``."""
@@ -263,33 +280,46 @@ def find_min_undetectable(
                 f"distance scan at weight {w} needs {tests_done} commutation tests "
                 f"(budget {budget})"
             )
-        # trailing sites whose product fits in one block; the leading ones
-        # hold one digit tuple per block, so blocks follow the flat order
+        subsets = itertools.combinations(range(n), w)
+        if n_pairs**w <= _BLOCK_ROWS:
+            # whole subsets, as many as fill a chunk, in lexicographic order
+            per_chunk = _BLOCK_ROWS // n_pairs**w
+            while len(chunk := np.array(list(itertools.islice(subsets, per_chunk)))):
+                block = syn[chunk[:, 0]]
+                for t in range(1, w):
+                    block = add(block[:, :, None], syn[chunk[:, t]][:, None]).reshape(
+                        len(chunk), -1, syn.shape[-1])
+                for i, row in zip(*np.nonzero(is_zero(block))):
+                    hit = undetectable(chunk[i], row)
+                    if hit is not None:
+                        return w, hit
+            continue
+        # screened: trailing sites whose product fits in one block; the
+        # leading ones hold one digit tuple per block, so blocks follow the
+        # flat order
         tail_w = w
         while n_pairs**tail_w > _BLOCK_ROWS:
             tail_w -= 1
-        screened = tail_w < w
-        for sites in itertools.combinations(range(n), w):
-            if screened and not supports_undetectable(sites):
+        for sites in subsets:
+            if not supports_undetectable(sites):
                 continue
-            # in a screened class every lighter class is clear, so the error
-            # inside ``sites`` has full support there
+            # every lighter class is clear, so the error inside ``sites``
+            # has full support there
             lead, tail = list(sites[: w - tail_w]), sites[w - tail_w :]
             # syndrome sums over the trailing sites' product, flat order
-            tail_syn = site_syn[tail[0]] if tail else np.zeros((1, n_gens), dtype=np.int64)
+            tail_syn = syn[tail[0]] if tail else np.zeros_like(syn[0, :1])
             for s in tail[1:]:
-                tail_syn = (tail_syn[:, None, :] + site_syn[s]).reshape(-1, n_gens)
+                tail_syn = add(tail_syn[:, None], syn[s]).reshape(-1, syn.shape[-1])
             for b, digits in enumerate(itertools.product(range(n_pairs), repeat=len(lead))):
-                block = tail_syn + site_syn[lead, digits].sum(axis=0) if lead else tail_syn
-                zero_rows = np.nonzero(~(block % p).any(axis=1))[0]
-                hit = first_undetectable(sites, zero_rows, b * len(tail_syn))
-                if hit is not None:
-                    return w, hit
-            if screened:
-                raise DomainError(
-                    f"rank screen passed sites {sites} but the scan found no error: "
-                    "the table must pass check_commutation and check_independence"
-                )
+                block = add(tail_syn, add.reduce(syn[lead, digits])) if lead else tail_syn
+                for row in np.flatnonzero(is_zero(block)):
+                    hit = undetectable(sites, b * len(tail_syn) + row)
+                    if hit is not None:
+                        return w, hit
+            raise DomainError(
+                f"rank screen passed sites {sites} but the scan found no error: "
+                "the table must pass check_commutation and check_independence"
+            )
     return None
 
 

@@ -4,6 +4,14 @@ Matrices are numpy integer arrays with entries reduced mod p.  These
 routines back independence checks, span comparisons, dual bases and the
 canonicalization row operations; p is always small (<= 61), so plain
 Gaussian elimination is all that is needed.
+
+Over Z_2 a row is a bit vector.  :func:`pack_bits` stores bit j of a row
+as bit j % 64 of word j // 64 (little-endian ``uint64``), so adding two
+rows is one XOR per word.  :func:`rank` with p = 2 reads each packed row
+as one integer and eliminates by XOR: each row is reduced by the basis
+rows kept so far (XOR with a basis row whose pivot, its lowest set bit,
+the row still holds), and joins the basis when a nonzero remainder is
+left.  The number of basis rows is the rank.
 """
 
 from __future__ import annotations
@@ -48,8 +56,29 @@ def rref(mat, p: int) -> tuple[np.ndarray, list[int]]:
     return a, pivots
 
 
+def pack_bits(bits) -> np.ndarray:
+    """0/1 vectors along the last axis as ceil(len / 64) little-endian
+    ``uint64`` words each: bit j goes to bit j % 64 of word j // 64."""
+    bits = np.asarray(bits)
+    width = -(-bits.shape[-1] // 64) * 64
+    padded = np.zeros(bits.shape[:-1] + (width,), dtype=np.uint8)
+    padded[..., : bits.shape[-1]] = bits
+    return np.packbits(padded, axis=-1, bitorder="little").view("<u8")
+
+
 def rank(mat, p: int) -> int:
-    return len(rref(mat, p)[1])
+    if p != 2:
+        return len(rref(mat, p)[1])
+    a = _as_matrix(mat, p)
+    basis: list[tuple[int, int]] = []  # (pivot bit, row)
+    for word in pack_bits(a):
+        row = int.from_bytes(word.tobytes(), "little")
+        for pivot, b in basis:
+            if row & pivot:
+                row ^= b
+        if row:
+            basis.append((row & -row, row))
+    return len(basis)
 
 
 def inv(mat, p: int) -> np.ndarray:

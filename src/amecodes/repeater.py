@@ -130,18 +130,19 @@ def link_grid(l_tot: float) -> np.ndarray:
     return np.arange(1, r_max + 1)
 
 
-def fixed_link_count(l_tot: float, l0: float) -> int:
+def fixed_link_count(l_tot: float, l0: float, ltot_flag: str = "--ltot") -> int:
     """round(L_tot / L0) links, at least one, for a fixed link length L0
-    that is positive and finite; at most the 10^6 links of ``link_grid``."""
+    that is positive and finite; at most the 10^6 links of ``link_grid``.
+    Refusals name L0 as ``--l0`` and L_tot as ``ltot_flag``."""
     if not 0 < l0 < math.inf:
         raise DomainError(f"--l0 must be a positive link length in km, got {l0:g}")
     if not math.isfinite(l_tot / l0):
-        raise DomainError(f"--ltot {l_tot:g} km over --l0 {l0:g} km is not a "
+        raise DomainError(f"{ltot_flag} {l_tot:g} km over --l0 {l0:g} km is not a "
                           f"finite link count")
     links = max(1, round(l_tot / l0))
     max_links = MAX_LTOT_KM / MIN_LINK_KM
     if links > max_links:
-        raise DomainError(f"--ltot {l_tot:g} km over --l0 {l0:g} km is {links:.3g} "
+        raise DomainError(f"{ltot_flag} {l_tot:g} km over --l0 {l0:g} km is {links:.3g} "
                           f"links, above the bound of {max_links:.0f} "
                           f"({MAX_LTOT_KM:g} km in links of {MIN_LINK_KM:g} km)")
     return links
@@ -295,15 +296,13 @@ def figure_rows(
 
     Raises DomainError naming the first (L_tot, code) that has no finite
     cost at any link count, and on a fixed L0 that ``fixed_link_count``
-    refuses.
+    refuses, naming the distances ``--ltots`` as the ``figure`` command does.
     """
     ch = ch or ChannelParams()
-    if rate_l0 <= 0:
-        raise DomainError(f"the fixed link length must be positive, got {rate_l0:g} km")
     rows = []
     for l_tot in l_tots:
         costs = _minimize_costs(codes, l_tot, ch, _hardware)
-        links = fixed_link_count(l_tot, rate_l0)
+        links = fixed_link_count(l_tot, rate_l0, "--ltots")
         for code in codes:
             c_st, plan, _ = costs[code]
             _require_finite(c_st, code, l_tot, ch)

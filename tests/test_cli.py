@@ -310,15 +310,18 @@ def test_rate_fixed_l0_beyond_link_bound_exit_2(capsys):
 
 
 @pytest.mark.parametrize("l0, message", [
-    ("1e-300", "--ltot 1000 km over --l0 1e-300 km is 1e+303 links, above the bound of 1000000"),
-    ("1e-6", "--ltot 1000 km over --l0 1e-06 km is 1e+09 links, above the bound of 1000000"),
+    ("1e-300", "--ltots 1000 km over --l0 1e-300 km is 1e+303 links, above the bound of 1000000"),
+    ("1e-6", "--ltots 1000 km over --l0 1e-06 km is 1e+09 links, above the bound of 1000000"),
     ("inf", "--l0 must be a positive link length in km, got inf"),
+    ("0", "--l0 must be a positive link length in km, got 0"),
 ])
 def test_figure_fixed_l0_beyond_link_bound_exit_2(capsys, l0, message):
-    # these printed rates of 1, 0.999985 and 0 from meaningless link counts
+    # these printed rates of 1, 0.999985 and 0 from meaningless link counts;
+    # figure has --ltots, not rate's --ltot, and one wording for 0 and inf
     code, out, err = run(capsys, "figure", "--ame", "5,2", "--ltots", "1000", "--l0", l0)
     assert code == 2 and out == ""
     assert message in err
+    assert "--ltot " not in err
 
 
 @pytest.mark.parametrize("ltot, message", [

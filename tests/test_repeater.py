@@ -221,7 +221,7 @@ def test_figure_rows_schema_and_monotone_rate():
 
 
 def test_figure_rows_refuses_a_nonpositive_link_length():
-    with pytest.raises(DomainError, match="link length must be positive"):
+    with pytest.raises(DomainError, match="--l0 must be a positive link length in km, got 0"):
         figure_rows([CodeParams(5, 1, 3, 2)], [1000.0], CH, rate_l0=0.0)
 
 
