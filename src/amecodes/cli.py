@@ -38,8 +38,8 @@ from .oracle import (CodewordSet, dense_distance, expand_stabilizer,
                      knill_laflamme_check, reduced_entropy)
 from .pauli import StateVector
 from .reduction import derive_family, to_reduction_friendly
-from .repeater import (ChannelParams, LinkPlan, cost_report, figure_rows, fixed_link_count,
-                       loss_probability, optimal_k_table, p_success, rate)
+from .repeater import (ChannelParams, LinkPlan, children_params, cost_report, figure_rows,
+                       fixed_link_count, loss_probability, optimal_k_table, p_success, rate)
 
 PASS, FAIL, USAGE_ERROR, BUDGET_ERROR = 0, 1, 2, 3
 
@@ -55,6 +55,32 @@ def _add_channel_flags(p):
 
 def _code_from_flags(args) -> CodeParams:
     return CodeParams(args.n, args.k, args.d, args.q)
+
+
+def _int_list(flag: str, form: str, value: str) -> list[int]:
+    """``value`` read as the comma-separated integers ``form`` names."""
+    parts = value.split(",")
+    try:
+        if len(parts) == len(form.split(",")):
+            return [int(x) for x in parts]
+    except ValueError:
+        pass
+    raise DomainError(f"{flag} must be {form} (comma-separated integers), got {value!r}")
+
+
+def _write_csv(args, header, rows, summary: str = "") -> bool:
+    """Write ``header`` and ``rows`` as CSV to the --csv file, then print
+    ``wrote PATH`` and ``summary``, or under --format csv to stdout.  False
+    when text output was asked for."""
+    if args.csv:
+        with open(args.csv, "w", newline="") as fh:
+            csv.writer(fh).writerows([header, *rows])
+        print(f"wrote {args.csv}{summary}")
+    elif args.format == "csv":
+        csv.writer(sys.stdout).writerows([header, *rows])
+    else:
+        return False
+    return True
 
 
 def cmd_verify(args) -> int:
@@ -223,17 +249,7 @@ def cmd_table(args) -> int:
         for q in range(2, args.qmax + 1):
             row.append(",".join(table[(n, q)]))
         rows.append(row)
-    if args.csv:
-        with open(args.csv, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
-            w.writerows(rows)
-        print(f"wrote {args.csv}")
-    elif args.format == "csv":
-        w = csv.writer(sys.stdout)
-        w.writerow(header)
-        w.writerows(rows)
-    else:
+    if not _write_csv(args, header, rows):
         width = max(len(c) for r in rows for c in r) + 1
         print("  ".join(c.ljust(width) for c in header))
         for r in rows:
@@ -244,33 +260,21 @@ def cmd_table(args) -> int:
 def cmd_figure(args) -> int:
     codes = []
     if args.ame:
-        n, q = (int(x) for x in args.ame.split(","))
-        from .repeater import children_params
+        n, q = _int_list("--ame", "N,Q", args.ame)
         codes.extend(children_params(n, q))
         if not codes and not args.include:
             raise DomainError(f"AME({n},{q}) has no children with distance >= 2")
     for spec_str in args.include or []:
-        n, k, d, q = (int(x) for x in spec_str.split(","))
-        codes.append(CodeParams(n, k, d, q))
+        codes.append(CodeParams(*_int_list("--include", "n,k,d,q", spec_str)))
     if not codes:
         raise DomainError("nothing to plot: pass --ame and/or --include")
     rows = figure_rows(codes, args.ltots, _channel(args), rate_l0=args.l0)
     fieldnames = list(rows[0].keys())
-    if args.csv:
-        with open(args.csv, "w", newline="") as fh:
-            w = csv.DictWriter(fh, fieldnames=fieldnames)
-            w.writeheader()
-            w.writerows(rows)
-        print(f"wrote {args.csv} ({len(rows)} rows)")
-    elif args.format == "csv":
-        w = csv.DictWriter(sys.stdout, fieldnames=fieldnames)
-        w.writeheader()
-        w.writerows(rows)
-    else:
+    values = [list(r.values()) for r in rows]
+    if not _write_csv(args, fieldnames, values, f" ({len(rows)} rows)"):
         print("  ".join(fieldnames))
-        for r in rows:
-            print("  ".join(f"{v:.6g}" if isinstance(v, float) else str(v)
-                            for v in r.values()))
+        for r in values:
+            print("  ".join(f"{v:.6g}" if isinstance(v, float) else str(v) for v in r))
     return PASS
 
 

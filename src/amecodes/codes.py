@@ -19,24 +19,25 @@ generators, summed over an error's sites.  For p = 2 (q = 2, 4, 8) it is
 a bit vector, packed by :func:`~amecodes.linalg.pack_bits` into
 ceil(N / 64) ``uint64`` words, and syndromes add by XOR (the tableau
 packing of Aaronson and Gottesman, PRA 70, 052328 (2004)); for p > 2 they
-are Z_p vectors added as integers and reduced mod p.  A class whose site
-subsets each hold at most ``_BLOCK_ROWS`` errors is scanned in chunks of
-whole subsets, as many consecutive subsets of the lexicographic order as
-fill ``_BLOCK_ROWS`` rows, with the syndromes of a chunk built by
-broadcasting over its sites; zero rows are taken in (subset, flat row)
-order, so the first one that counts is the first witness.
-A class whose site subsets each hold more than ``_BLOCK_ROWS`` errors is
-first screened by rank (Scott, PRA 69, 052330 (2004)): with M the table
-matrix, N its row count, Omega the trace form and r_out the rank of M on
-the columns outside a subset A, A supports an undetectable error when
-N - r_out > 0 (k = 0) or 2m|A| - rank((M Omega) on A's columns) > N - r_out
-(k > 0).  Subsets failing the screen are skipped, and the first passing
-one is scanned in blocks of at most ``_BLOCK_ROWS`` errors of its
-lexicographic order, up to its first undetectable error.  Lighter classes
-are clear by then, so that error has full support on A, and the witness
-is the one the unscreened scan finds.  The budget counts brute-force
-commutation tests per class, screened or not, charged before the class
-starts.
+are Z_p vectors added as integers and reduced mod p.  Every weight class
+is scanned by one block loop.  Its trailing sites are the most whose
+product holds at most ``_BLOCK_ROWS`` errors; their syndrome sums are
+built by broadcasting, and each tuple of digits on the leading sites
+adds its syndrome to them to make one block, so blocks follow the flat
+order.  Without leading sites a chunk is as many consecutive subsets of
+the lexicographic order as fill ``_BLOCK_ROWS`` rows; zero rows are taken
+in (subset, flat row) order, so the first one that counts is the first
+witness.  With leading sites a chunk is one subset that passes a rank
+screen (Scott, PRA 69, 052330 (2004)): with M the table matrix, N its row
+count, Omega the trace form and r_out the rank of M on the columns
+outside a subset A, A supports an undetectable error when N - r_out > 0
+(k = 0) or 2m|A| - rank((M Omega) on A's columns) > N - r_out (k > 0).
+The first passing subset is scanned up to its first undetectable error.
+Lighter classes are clear by then, so that error has full support on A,
+and the witness is the one the unscreened scan finds.  For k > 0 a
+zero-syndrome error e is degenerate, a group element, exactly when M with
+e appended still has rank N.  The budget counts brute-force commutation
+tests per class, screened or not, charged before the class starts.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from .pauli import PauliString, error_count, sites_from_matrix
 
 DEFAULT_DISTANCE_BUDGET = 10**9
 # errors a distance scan holds at once; weight classes whose subsets each
-# hold more are rank-screened first (see the module docstring)
+# hold more are rank-screened (see the module docstring)
 _BLOCK_ROWS = 2**12
 
 QMDS = "QMDS"
@@ -76,6 +77,8 @@ class CodeParams:
     def __post_init__(self):
         if self.n < 1:
             raise DomainError(f"n must be >= 1, got {self.n}")
+        if self.q < 2:
+            raise DomainError(f"q must be >= 2, got {self.q}")
         if not 0 <= self.k <= self.n:
             raise DomainError(f"k must lie in [0, n], got k={self.k}, n={self.n}")
         if self.d < 1:
@@ -246,9 +249,7 @@ def find_min_undetectable(
         syn, add = linalg.pack_bits(site_syn), np.bitwise_xor
     else:
         syn, add = site_syn, np.add
-    k = table.k
-    if k > 0:
-        red, pivots = linalg.rref(table.symplectic_matrix(), p)
+    mat, k = table.symplectic_matrix(), table.k
 
     def undetectable(sites, row):
         """The error of flat row ``row`` of ``sites``, a zero-syndrome row, if
@@ -257,7 +258,7 @@ def find_min_undetectable(
         err_vec = np.zeros((n, 2 * m), dtype=np.int64)
         err_vec[list(sites)] = pair_vecs[list(combo)]
         err_vec = err_vec.reshape(-1)
-        if k > 0 and not np.any(linalg.reduce_against(err_vec, red, pivots, p)):
+        if k > 0 and linalg.rank(np.vstack([mat, err_vec]), p) == n_gens:
             return None  # a stabilizer element: degenerate, not a logical
         return PauliString.from_symplectic(f, err_vec, n)
 
@@ -272,6 +273,7 @@ def find_min_undetectable(
         commuting = 2 * m * len(sites) - linalg.rank(site_map[list(sites)].reshape(-1, n_gens), p)
         return commuting > in_group
 
+    width = syn.shape[-1]
     tests_done = 0
     for w in range(1, min(d_max, n) + 1):
         tests_done += error_count(f, n, w) * n_gens
@@ -280,46 +282,37 @@ def find_min_undetectable(
                 f"distance scan at weight {w} needs {tests_done} commutation tests "
                 f"(budget {budget})"
             )
-        subsets = itertools.combinations(range(n), w)
-        if n_pairs**w <= _BLOCK_ROWS:
-            # whole subsets, as many as fill a chunk, in lexicographic order
-            per_chunk = _BLOCK_ROWS // n_pairs**w
-            while len(chunk := np.array(list(itertools.islice(subsets, per_chunk)))):
-                block = syn[chunk[:, 0]]
-                for t in range(1, w):
-                    block = add(block[:, :, None], syn[chunk[:, t]][:, None]).reshape(
-                        len(chunk), -1, syn.shape[-1])
-                for i, row in zip(*np.nonzero(is_zero(block))):
-                    hit = undetectable(chunk[i], row)
-                    if hit is not None:
-                        return w, hit
-            continue
-        # screened: trailing sites whose product fits in one block; the
-        # leading ones hold one digit tuple per block, so blocks follow the
-        # flat order
+        # trailing sites whose product fits in one block; each tuple of
+        # leading digits is one block, so blocks follow the flat order
         tail_w = w
         while n_pairs**tail_w > _BLOCK_ROWS:
             tail_w -= 1
-        for sites in subsets:
-            if not supports_undetectable(sites):
-                continue
-            # every lighter class is clear, so the error inside ``sites``
-            # has full support there
-            lead, tail = list(sites[: w - tail_w]), sites[w - tail_w :]
-            # syndrome sums over the trailing sites' product, flat order
-            tail_syn = syn[tail[0]] if tail else np.zeros_like(syn[0, :1])
-            for s in tail[1:]:
-                tail_syn = add(tail_syn[:, None], syn[s]).reshape(-1, syn.shape[-1])
-            for b, digits in enumerate(itertools.product(range(n_pairs), repeat=len(lead))):
-                block = add(tail_syn, add.reduce(syn[lead, digits])) if lead else tail_syn
-                for row in np.flatnonzero(is_zero(block)):
-                    hit = undetectable(sites, b * len(tail_syn) + row)
+        lead_w, tail_rows = w - tail_w, n_pairs**tail_w
+        subsets = itertools.combinations(range(n), w)
+        if lead_w == 0:
+            # as many consecutive subsets as fill a block
+            per_chunk = _BLOCK_ROWS // tail_rows
+            chunks = iter(lambda: list(itertools.islice(subsets, per_chunk)), [])
+        else:
+            # one screened subset; every lighter class is clear, so the
+            # error inside it has full support there
+            chunks = ([sites] for sites in subsets if supports_undetectable(sites))
+        for chunk in chunks:
+            sites = np.array(chunk)
+            tail = syn[sites[:, lead_w]] if tail_w else np.zeros((1, 1, width), syn.dtype)
+            for s in sites[:, lead_w + 1 :].T:
+                tail = add(tail[:, :, None], syn[s][:, None]).reshape(len(chunk), -1, width)
+            for b, digits in enumerate(itertools.product(range(n_pairs), repeat=lead_w)):
+                block = add(tail, add.reduce(syn[sites[0, :lead_w], digits])) if lead_w else tail
+                for i, row in zip(*np.nonzero(is_zero(block))):
+                    hit = undetectable(chunk[i], b * tail_rows + row)
                     if hit is not None:
                         return w, hit
-            raise DomainError(
-                f"rank screen passed sites {sites} but the scan found no error: "
-                "the table must pass check_commutation and check_independence"
-            )
+            if lead_w:
+                raise DomainError(
+                    f"rank screen passed sites {chunk[0]} but the scan found no error: "
+                    "the table must pass check_commutation and check_independence"
+                )
     return None
 
 

@@ -113,18 +113,6 @@ def nullspace(mat, p: int) -> np.ndarray:
     return basis
 
 
-def reduce_against(vec, red: np.ndarray, pivots: list[int], p: int) -> np.ndarray:
-    """Residual of vec after elimination by an RREF basis.
-
-    Zero residual means vec lies in the row span of the basis.
-    """
-    v = np.array(vec, dtype=np.int64) % p
-    for r, c in enumerate(pivots):
-        if v[c]:
-            v = (v - v[c] * red[r]) % p
-    return v
-
-
 def same_row_span(a, b, p: int) -> bool:
     """True when the two matrices generate identical row spaces mod p."""
     a = _as_matrix(a, p)

@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from amecodes import stabtab
@@ -84,3 +87,18 @@ def test_load_table_errors():
     grid_entry = next(e for e in load_catalog(verify=False) if e.id == "grid_8_6")
     with pytest.raises(DomainError, match="metadata-only"):
         load_table(grid_entry)
+
+
+def test_make_catalog_rewrites_the_shipped_files(tmp_path):
+    # the tool regenerates, and re-verifies, every shipped file byte for byte
+    path = Path(__file__).resolve().parents[1] / "tools" / "make_catalog.py"
+    spec = importlib.util.spec_from_file_location("make_catalog", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    tool.OUT = tmp_path
+    tool.main()
+    written = sorted(p.name for p in tmp_path.iterdir())
+    shipped = sorted(p.name for p in catalog_dir().iterdir() if p.suffix in (".stabtab", ".toml"))
+    assert written == shipped
+    for name in written:
+        assert (tmp_path / name).read_bytes() == (catalog_dir() / name).read_bytes(), name

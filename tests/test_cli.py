@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -337,3 +338,30 @@ def test_link_grid_refusals_exit_2_on_every_optimizing_command(capsys, ltot, mes
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "", argv
         assert message in err, argv
+
+
+@pytest.mark.parametrize("argv, q", [
+    (["cost", "--n", "5", "--k", "1", "--d", "3", "--q", "1", "--ltot", "100"], 1),
+    (["rate", "--n", "5", "--k", "1", "--d", "3", "--q", "1", "--ltot", "100", "--l0", "1"], 1),
+    (["cost", "--n", "5", "--k", "1", "--d", "3", "--q", "0", "--ltot", "100"], 0),
+    (["figure", "--ame", "5,1"], 1),
+])
+def test_local_dimension_below_two_exit_2(capsys, argv, q):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert f"q must be >= 2, got {q}" in err
+    assert not caught and "Warning" not in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["figure", "--ame", "5"], "--ame must be N,Q (comma-separated integers), got '5'"),
+    (["figure", "--ame", "5,two"], "--ame must be N,Q (comma-separated integers), got '5,two'"),
+    (["figure", "--include", "5,1,3,2,7"],
+     "--include must be n,k,d,q (comma-separated integers), got '5,1,3,2,7'"),
+])
+def test_figure_malformed_code_flags_exit_2(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert message in err

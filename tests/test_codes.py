@@ -1,11 +1,12 @@
 import itertools
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from amecodes import linalg, stabtab
+from amecodes import codes, linalg, stabtab
 from amecodes.codes import (BELOW_BOUND, QMDS, SUBOPTIMAL_QMDS, CodeParams,
                             GeneratorTable, check_commutation, check_independence,
                             classify_singleton, compute_distance,
@@ -193,6 +194,16 @@ def test_distance_budget_guard():
     t = table(CODE_5_1_3_9)
     with pytest.raises(ResourceBudgetError):
         compute_distance(t, 3, budget=10_000)
+
+
+def test_screened_scan_refuses_a_table_that_fails_commutation():
+    # the rank screen assumes a commuting, independent table: on one that
+    # is not, a subset can pass the screen and hold no undetectable error
+    t = table("code n=2 q=2 k=0\ng1: x1 i\ng2: z1 i\n")
+    with mock.patch.object(codes, "_BLOCK_ROWS", 1):
+        with pytest.raises(DomainError, match=r"rank screen passed sites \(0,\) but the "
+                           r"scan found no error"):
+            find_min_undetectable(t, 2)
 
 
 def scramble(t, rng):
