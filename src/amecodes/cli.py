@@ -148,6 +148,9 @@ def cmd_children(args) -> int:
 def cmd_oracle(args) -> int:
     if args.kl_d is not None and args.kl_d < 1:
         raise DomainError(f"--kl-d must be at least 1, got {args.kl_d}")
+    if args.entropy_subsets and min(args.entropy_subsets) < 1:
+        raise DomainError(f"--entropy-subsets sizes must be at least 1, "
+                          f"got {min(args.entropy_subsets)}")
     if args.state:
         if not args.q:
             raise DomainError("--state needs --q to fix the local dimension")

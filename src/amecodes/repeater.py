@@ -15,12 +15,13 @@ Cost coefficients, each minimized over the link length,
 
 share their argmin (the numerators differ by a constant factor) and are
 independent of t0 since R carries 1/t0.  The L0 grid is the physically
-meaningful one: integer link counts r = 1..floor(L_tot / 0.1 km), and
-sweeps vectorize over r.  At a fixed distance and channel the survival
-curve P_success^r depends only on (n, d); k and q only scale it.  One
-optimizer builds each (n, d) curve once per distance and shares it
-among every code of a call that has that (n, d); nothing is cached
-across calls.
+meaningful one: integer link counts r = 1..floor(L_tot / 0.1 km).  At a
+fixed distance and channel, L0 * P_success^r depends only on (n, d); k
+and q only scale it.  One optimizer screens each (n, d) over the whole
+grid in log space, then evaluates the exact float expression at the few
+link counts in a derived window around the screen's maximum, and every
+code of a call with that (n, d) reads its minimum there, bit for bit as
+on the full grid.  Nothing is cached across calls.
 """
 
 from __future__ import annotations
@@ -156,39 +157,88 @@ def _per_photon(code: CodeParams) -> float:
     return code.n * code.q
 
 
+_EPS = 2.0**-51  # two ulps: the relative error allowed to one float op, exp, log or power
+_FLOOR = math.log(1e-280)  # below it, every link count is evaluated exactly
+
+
+def _screened_curves(l_tot: float, ch: ChannelParams, pairs: list[tuple[int, int]]):
+    """Per (n, d) of ``pairs``, in order: the link counts that may hold the
+    largest L0 P_success^r, and P_success^r there by the full-grid float
+    expression (elementwise ops give the same bits on any subset).
+
+    Screen: s = log(L0) + r (n log q + log sum_{j<d} C(n,j) rho^j), with
+    q = 1 - p_l, rho = p_l / q and Horner's rule, no power.  Window: with
+    each op, exp, log and power within e = 2^-51 (two ulps), the real value
+    at the same p_l, q is within r(d+3)e + 3e of the exact log and within
+    3r(d-1)e + 9e n r|log q| + 2e|log L0| of s, so |s - exact log| <= tau =
+    e (4d max r + 9n max r|log q| + 2 max|log L0| + 3); the first argmin of
+    the rounded costs is within 2e of the largest exact log, so it has
+    s >= max(s) - 2 tau - 2e.  s is nan or -inf only where q = 0, so
+    P_success = 0 (d <= n); +inf (overflow) is kept.  Below max(s) =
+    log(1e-280) the bounds fail (P_success^r may be subnormal; the rate
+    underflows, or eta_c = 0) and every link count is evaluated.
+    """
+    r = link_grid(l_tot).astype(float)
+    l0 = l_tot / r
+    p_l = 1.0 - ch.eta_c * np.exp(-l0 / ch.l_att)
+    windows = []
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        rho = 1.0 - p_l
+        r_log_q = np.log(rho)
+        r_log_q *= r
+        np.divide(p_l, rho, out=rho)
+        log_l0 = np.log(l0, out=l0)
+        mag = -r_log_q.min(where=r_log_q > -np.inf, initial=0.0)
+        spread = 2 * max(abs(log_l0[0]), abs(log_l0[-1])) + 3
+        for n, d in pairs:
+            s = np.full_like(rho, math.comb(n, d - 1))
+            for j in range(d - 2, -1, -1):
+                s *= rho
+                s += math.comb(n, j)
+            np.log(s, out=s)
+            s *= r
+            s += n * r_log_q
+            s += log_l0
+            top = s.max(where=np.isfinite(s), initial=-np.inf)
+            tau = _EPS * (4 * d * r[-1] + 9 * n * mag + spread)
+            windows.append(np.flatnonzero(s >= top - 2 * tau - 2 * _EPS)
+                           if top >= _FLOOR else slice(None))
+    del rho, r_log_q, log_l0, s
+    for (n, d), idx in zip(pairs, windows):
+        links, p = r[idx], p_l[idx]
+        acc = np.zeros_like(p)
+        for j in range(d):
+            acc = acc + math.comb(n, j) * p**j * (1.0 - p) ** (n - j)
+        survival = np.minimum(acc, 1.0) ** links
+        del acc  # the caller divides on every link count in the underflow regime
+        yield links, survival
+
+
 def _minimize_costs(
     codes: list[CodeParams], l_tot: float, ch: ChannelParams, numerator
 ) -> dict[CodeParams, tuple[float, LinkPlan, float]]:
     """Per code: the minimum of numerator(code) / (L0 * R * t0) over the
     integer-r grid (t0 cancels), its plan, and L0 * R * t0 at that plan.
 
-    Codes are taken in (n, d) order.  Codes with the same n share the
-    running binomial sum, and each (n, d) survival curve is built once,
-    used by every code with that (n, d), and dropped for the next.
+    Codes with the same (n, d) share one screened curve.
     """
     if any(code.k == 0 for code in codes):
         raise DomainError("cost factors need k >= 1 (no information transmitted)")
     if not codes:
         return {}
-    r = link_grid(l_tot)
-    l0 = l_tot / r
-    p_l = 1.0 - ch.eta_c * np.exp(-l0 / ch.l_att)
+    groups: dict[tuple[int, int], list[CodeParams]] = {}
+    for code in codes:
+        groups.setdefault((code.n, code.d), []).append(code)
+    pairs = sorted(groups)
     out = {}
-    n = d = None
-    for code in sorted(codes, key=lambda c: (c.n, c.d)):
-        if code.n != n:
-            n, d, j, acc = code.n, None, 0, np.zeros_like(p_l)
-        if code.d != d:
-            d = code.d
-            while j <= min(d - 1, n):
-                acc = acc + math.comb(n, j) * p_l**j * (1.0 - p_l) ** (n - j)
-                j += 1
-            survival = np.minimum(acc, 1.0) ** r
-        throughput = l0 * (code.k * math.log2(code.q) * survival)
-        with np.errstate(divide="ignore", over="ignore"):
-            cost = numerator(code) / throughput
-        best = int(np.argmin(cost))
-        out[code] = float(cost[best]), LinkPlan(l_tot, int(r[best])), throughput[best]
+    for pair, (links, survival) in zip(pairs, _screened_curves(l_tot, ch, pairs)):
+        l0 = l_tot / links
+        for code in groups[pair]:
+            throughput = l0 * (code.k * math.log2(code.q) * survival)
+            with np.errstate(divide="ignore", over="ignore"):
+                cost = numerator(code) / throughput
+            best = int(np.argmin(cost))
+            out[code] = float(cost[best]), LinkPlan(l_tot, int(links[best])), throughput[best]
     return out
 
 

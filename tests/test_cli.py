@@ -293,6 +293,17 @@ def test_oracle_kl_d_below_one_exit_2(capsys):
     assert code == 0 and "knill-laflamme at d=1: pass" in out
 
 
+def test_oracle_entropy_subsets_below_one_exit_2(capsys):
+    # refused before the expansion line or any entropy is printed
+    table = str(catalog_dir() / "ame_6_2.stabtab")
+    for sizes, worst in ((("0", "-1"), "-1"), (("2", "0"), "0")):
+        code, out, err = run(capsys, "oracle", table, "--entropy-subsets", *sizes)
+        assert code == 2 and out == ""
+        assert f"--entropy-subsets sizes must be at least 1, got {worst}" in err
+    code, out, _ = run(capsys, "oracle", table, "--entropy-subsets", "1")
+    assert code == 0 and "entropy |A|=1:" in out
+
+
 def test_oracle_kl_d_beyond_n(capsys):
     # a state passes every weight <= n, then the range error; a code fails first
     code, out, err = run(capsys, "oracle", str(catalog_dir() / "ame_5_2.stabtab"), "--kl-d", "7")

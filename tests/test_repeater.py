@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from amecodes.catalog import catalog_grid
 from amecodes.codes import CodeParams
 from amecodes.errors import DomainError
-from amecodes.repeater import (ChannelParams, LinkPlan, children_params,
+from amecodes.repeater import (ChannelParams, LinkPlan, _screened_curves, children_params,
                                cost_long_term, cost_report, cost_short_term,
                                figure_rows, link_grid, loss_probability,
                                optimal_k, optimal_k_table, p_success, rate)
@@ -357,3 +357,75 @@ def test_optimizer_matches_one_full_curve_per_code(ch, distances, cells, pick):
             figure_rows(kids, distances, ch)
     else:
         assert figure_rows(kids, distances, ch) == rows
+
+
+# -- the screen's edge paths, and the few link counts it evaluates -------------
+
+
+EDGE_CASES = {
+    "10^6 links, one curve evaluated on every link count": ([(14, 7)], 100000.0, CH),
+    "p_l = 0 exactly": ([(6, 2), (9, 3)], 1000.0, ChannelParams(l_att=1e300)),
+    "l_att = 1e-3": ([(6, 2)], 1000.0, ChannelParams(l_att=1e-3)),
+    "eta_c = 1e-3": ([(6, 2), (14, 7)], 1000.0, ChannelParams(eta_c=1e-3)),
+    "l_att = eta_c = 1e-3": ([(6, 2)], 1000.0, ChannelParams(l_att=1e-3, eta_c=1e-3)),
+    "eta_c = 0": ([(6, 2)], 1000.0, ChannelParams(eta_c=0.0)),
+    "one link": ([(6, 2), (14, 7)], 0.05, CH),
+    "rho overflows at small r": ([(14, 7), (12, 7)], 10000.0, ChannelParams(20.0, 0.98)),
+}
+
+
+@pytest.mark.parametrize("cells, l_tot, ch", EDGE_CASES.values(), ids=EDGE_CASES.keys())
+def test_screen_edge_paths_match_the_full_grid(cells, l_tot, ch):
+    families = {cell: reference_children(*cell) for cell in cells}
+    kids = [code for family in families.values() for code in family]
+    costs = {code: reference_costs(code, l_tot, ch) for code in kids}
+    for cell, family in families.items():
+        assert optimal_k(*cell, l_tot, ch) == reference_optimal_k(family, costs)
+    rows, first_inf = [], None
+    for code in kids:
+        (c_st, r_st, throughput), (c_lt, r_lt, _) = costs[code]
+        assert cost_short_term(code, l_tot, ch) == (c_st, LinkPlan(l_tot, r_st))
+        assert cost_long_term(code, l_tot, ch) == (c_lt, LinkPlan(l_tot, r_lt))
+        if c_st == math.inf:
+            with pytest.raises(DomainError, match="no finite cost"):
+                cost_report(code, l_tot, ch)
+            first_inf = first_inf or f"{code.label()} over {l_tot:g} km has no finite cost"
+            continue
+        rep = cost_report(code, l_tot, ch)
+        assert (rep.c_st, rep.plan, rep.c_lt) == (
+            c_st, LinkPlan(l_tot, r_st), float(code.n * code.q / throughput))
+        links = max(1, round(l_tot))
+        rows.append({"ltot_km": l_tot, "code": code.label(),
+                     "rate_t0_fixed_l0": repeater_rate(code.n, code.k, code.d, code.q, links,
+                                                       links, ch.l_att, ch.eta_c)[1],
+                     "c_st": c_st, "opt_l0_km": l_tot / r_st})
+    if first_inf:
+        with pytest.raises(DomainError, match=re.escape(first_inf)):
+            figure_rows(kids, [l_tot], ch)
+    else:
+        assert figure_rows(kids, [l_tot], ch) == rows
+
+
+@pytest.mark.parametrize("l_tot", [1000.0, 10000.0])
+def test_screen_evaluates_a_few_link_counts_on_the_catalog_grid(l_tot):
+    # at most 8 of the 10^4 or 10^5 link counts per (n, d), so never the
+    # all-indices path, and every code's full-grid argmin among them
+    kids = [code for n, q, e in GRID if e == "exists" for code in reference_children(n, q)]
+    pairs = sorted({(code.n, code.d) for code in kids})
+    for pair, (links, _) in zip(pairs, _screened_curves(l_tot, CH, pairs), strict=True):
+        assert 1 <= len(links) <= 8, (pair, len(links))
+        for code in kids:
+            if (code.n, code.d) == pair:
+                (_, r_st, _), (_, r_lt, _) = reference_costs(code, l_tot, CH)
+                assert {r_st, r_lt} <= set(links.tolist()), (code, r_st, r_lt)
+
+
+def test_screen_takes_in_link_counts_where_poly_overflows():
+    # d = 21: C(44,20) rho^20 overflows at r = 14 of 10000 km, where 1 - p_l
+    # is a few ulps, not 0; s is +inf there and the window keeps it
+    code = CodeParams(44, 2, 21, 2)
+    links, _ = next(_screened_curves(10000.0, CH, [(44, 21)]))
+    assert 14 in links.tolist()
+    (c_st, r_st, _), (c_lt, r_lt, _) = reference_costs(code, 10000.0, CH)
+    assert cost_short_term(code, 10000.0, CH) == (c_st, LinkPlan(10000.0, r_st))
+    assert cost_long_term(code, 10000.0, CH) == (c_lt, LinkPlan(10000.0, r_lt))
