@@ -210,6 +210,15 @@ def check_independence(table: GeneratorTable) -> np.ndarray | None:
     return kernel[0] if len(kernel) else None
 
 
+def require_stabilizer(table: GeneratorTable) -> None:
+    """DomainError unless the generators commute and are independent, naming g1, g2, ..."""
+    pair = check_commutation(table)
+    if pair is not None:
+        raise DomainError(f"generators g{pair[0] + 1} and g{pair[1] + 1} do not commute")
+    if check_independence(table) is not None:
+        raise DomainError("generators are dependent")
+
+
 # -- distance ----------------------------------------------------------------
 
 

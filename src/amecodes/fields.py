@@ -268,14 +268,11 @@ class Field:
         return [self.element(int(i)) for i in self.coeff_index[keys]]
 
     def decompose(self, x: "FieldElement | int", basis: Sequence["FieldElement | int"]) -> list[int]:
-        """Coordinates of x over the given Z_p-basis: sum_i out[i]*basis[i] = x."""
-        idx = self._basis_indices(basis)
-        b = self.coeff_matrix[idx].T
-        if linalg.rank(b, self.p) < self.m:
-            raise DomainError("input elements are linearly dependent over Z_p")
+        """Coordinates of x over the given Z_p-basis: sum_i out[i]*basis[i] = x,
+        read off the trace-dual basis {b_i} as out[i] = trace(x * b_i)."""
+        dual = self.dual_basis(basis)
         xi = x.index if isinstance(x, FieldElement) else int(x)
-        sol = linalg.solve(b, self.coeff_matrix[xi], self.p)
-        return [int(v) for v in sol]
+        return [self.trace_mul(xi, b.index) for b in dual]
 
     def _lift_scalar(self, c: int) -> int:
         """Index of the prime-subfield element with value c."""

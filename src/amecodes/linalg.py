@@ -94,11 +94,6 @@ def inv(mat, p: int) -> np.ndarray:
     return red[:, n:]
 
 
-def solve(a, b, p: int) -> np.ndarray:
-    """Solve a @ x = b mod p for square invertible a."""
-    return (inv(a, p) @ (np.asarray(b, dtype=np.int64) % p)) % p
-
-
 def nullspace(mat, p: int) -> np.ndarray:
     """Basis of the right kernel mod p, one vector per row (may be empty)."""
     a = _as_matrix(mat, p)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import GeneratorTable, check_commutation, check_independence
+from .codes import GeneratorTable, require_stabilizer
 from .errors import DomainError, PhaseConsistencyError, ResourceBudgetError
 from .fields import Field
 from .pauli import PauliString, StateVector, dense_action
@@ -90,26 +90,27 @@ def expand_stabilizer(table: GeneratorTable) -> CodewordSet:
 
     Dimension q**k for a consistent table; raises
     PhaseConsistencyError when the phase assignment admits no codeword.
+    Basis states |s> are projected in index order, skipping any inside an
+    accepted word's support: P|s> fills the coset of s modulo the X parts,
+    P|s'> is a phase times P|s> on it (P g = P), and cosets are disjoint.
     """
-    pair = check_commutation(table)
-    if pair is not None:
-        raise DomainError(f"generators {pair[0]} and {pair[1]} do not commute")
-    if check_independence(table) is not None:
-        raise DomainError("generators are dependent")
+    require_stabilizer(table)
     dim = _check_budget(table.field, table.n)
     K = table.field.q**table.k
     p = table.field.p
     actions = [dense_action(g, hermitian_lift=True) for g in table.gens]
     basis: list[np.ndarray] = []
+    covered = np.zeros(dim, dtype=bool)
     for seed in range(dim):
+        if covered[seed]:
+            continue
         v = np.zeros(dim, dtype=np.complex128)
         v[seed] = 1.0
         for perm, factor in actions:
             v = _project_plus_one(perm, factor, p, v)
-        for b in basis:
-            v = v - np.vdot(b, v) * b
         norm = np.linalg.norm(v)
         if norm > 1e-8:
+            covered |= v != 0
             basis.append(v / norm)
             if len(basis) == K:
                 break
@@ -163,10 +164,10 @@ def _x_block(field: Field, w: int, lo: int, hi: int) -> tuple[np.ndarray, np.nda
     return lp, valid
 
 
-def _first_error(c: CodewordSet, w_max: int, scalar: bool, tol: float) -> PauliString | None:
+def _first_error(c: CodewordSet, w_max: int, scalar: bool) -> PauliString | None:
     """The first error of weight 1..w_max, in enumerate_errors order, whose
     code-space matrix G = <w_m| E |w_m'> is flagged, or None.  With
-    ``scalar`` G is flagged when max |G - (tr G / K) I| > tol, which a
+    ``scalar`` G is flagged when max |G - (tr G / K) I| > KL_TOL, which a
     1 x 1 matrix never is; otherwise when |G_00| > 1/2.
 
     The errors on one site subset A are one batch.  Write the codewords
@@ -217,7 +218,7 @@ def _first_error(c: CodewordSet, w_max: int, scalar: bool, tol: float) -> PauliS
                 g = g.reshape(hi - lo, q**w, K, K)
                 if scalar:
                     dev = g - np.einsum("xzmm->xz", g)[:, :, None, None] / K * np.eye(K)
-                    hit = np.abs(dev).max(axis=(2, 3)) > tol
+                    hit = np.abs(dev).max(axis=(2, 3)) > KL_TOL
                 else:
                     hit = np.abs(g[:, :, 0, 0]) > 0.5
                 xs, zs = np.nonzero(hit & valid)
@@ -235,9 +236,7 @@ def _first_error(c: CodewordSet, w_max: int, scalar: bool, tol: float) -> PauliS
     return None
 
 
-def knill_laflamme_check(
-    c: CodewordSet, d: int, tol: float = KL_TOL
-) -> PauliString | None:
+def knill_laflamme_check(c: CodewordSet, d: int) -> PauliString | None:
     """None when every error product of weight < d acts as a scalar on
     the code space; otherwise the first violating operator.
 
@@ -247,10 +246,10 @@ def knill_laflamme_check(
     """
     if d < 1:
         raise DomainError(f"d must be at least 1, got {d}")
-    return _first_error(c, d - 1, True, tol)
+    return _first_error(c, d - 1, True)
 
 
-def dense_distance(c: CodewordSet, d_max: int, tol: float = KL_TOL) -> int | None:
+def dense_distance(c: CodewordSet, d_max: int) -> int | None:
     """Distance seen by the dense oracle, or None if above d_max.
 
     K > 1: the smallest weight at which the Knill-Laflamme scalar
@@ -258,7 +257,7 @@ def dense_distance(c: CodewordSet, d_max: int, tol: float = KL_TOL) -> int | Non
     of an operator with nonzero expectation value, i.e. of a stabilizer
     element, matching the k = 0 distance convention.
     """
-    err = _first_error(c, min(d_max, c.n), c.K > 1, tol)
+    err = _first_error(c, min(d_max, c.n), c.K > 1)
     return None if err is None else err.weight()
 
 
@@ -289,24 +288,3 @@ def reduced_density_matrix(state: StateVector, sites) -> np.ndarray:
     """Reduced density matrix on ``sites`` (partial trace over the rest)."""
     psi = _bipartition(state, sites)
     return psi @ psi.conj().T
-
-
-def stabilizing_paulis(state: StateVector, tol: float = 1e-9):
-    """Yield (operator, eigenvalue) for every Pauli with state as eigenvector.
-
-    Exhaustive over all q**(2n) phase-free strings; the eigenvalue is
-    the exact complex scalar (an omega power times possibly i for p=2
-    mixed sites).  This is the oracle behind derived catalog tables.
-    """
-    dim = _check_budget(state.field, state.n)
-    q, n = state.field.q, state.n
-    for site_pairs in itertools.product(
-        ((a, b) for a in range(q) for b in range(q)), repeat=n
-    ):
-        op = PauliString(state.field, tuple(site_pairs))
-        perm, factor = dense_action(op)
-        out = np.zeros(dim, dtype=np.complex128)
-        out[perm] = factor * state.amplitudes
-        lam = np.vdot(state.amplitudes, out)
-        if abs(abs(lam) - 1.0) < tol and np.linalg.norm(out - lam * state.amplitudes) < tol:
-            yield op, complex(lam)

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import linalg
 from .codes import (DEFAULT_DISTANCE_BUDGET, CodeParams, GeneratorTable,
-                    check_commutation, check_independence, compute_distance)
+                    compute_distance, require_stabilizer)
 from .errors import DomainError, ReductionError
 
 EVEN = "even"
@@ -93,24 +93,17 @@ def _target_block(field) -> np.ndarray:
 
 def _greedy_pivots(mat: np.ndarray, rows: list[int], site: int, m: int, p: int,
                    uniform: int) -> list[int]:
-    """Lowest-index subset of ``rows`` whose restrictions to ``site`` span Z_p^2m.
+    """Lowest-index subset of ``rows`` whose restrictions to ``site`` span Z_p^2m:
+    the pivot columns of one ``rref`` of the restrictions' transpose, since
+    column c is a pivot exactly when row c is outside the span of the rows
+    before it (a zero row never is).
 
     When none exists, ``site`` together with the sites that ``rows`` are
     cleared on is not maximally mixed: the table is not ``uniform``-uniform.
     """
-    cols = slice(2 * m * site, 2 * m * (site + 1))
-    chosen: list[int] = []
-    stack = np.zeros((0, 2 * m), dtype=np.int64)
-    for r in rows:
-        v = mat[r, cols]
-        if not np.any(v):
-            continue
-        trial = np.vstack([stack, v])
-        if linalg.rank(trial, p) > len(chosen):
-            chosen.append(r)
-            stack = trial
-            if len(chosen) == 2 * m:
-                return chosen
+    pivots = linalg.rref(mat[rows, 2 * m * site: 2 * m * (site + 1)].T, p)[1]
+    if len(pivots) == 2 * m:
+        return [rows[c] for c in pivots]
     raise ReductionError(
         f"no independent pivot on site {site}: fewer than the required {2 * m} "
         f"generators act there independently, so the table is not {uniform}-uniform"
@@ -135,11 +128,7 @@ def to_reduction_friendly(table: GeneratorTable) -> ReductionFriendlyForm:
     of a table already shaped like an extracted child (N a multiple of
     2m down to 2m).  Already-canonical tables come back unchanged.
     """
-    pair = check_commutation(table)
-    if pair is not None:
-        raise DomainError(f"generators {pair[0]} and {pair[1]} do not commute")
-    if check_independence(table) is not None:
-        raise DomainError("generators are dependent")
+    require_stabilizer(table)
     f = table.field
     p, m = f.p, f.m
     mat = table.symplectic_matrix().copy()
@@ -229,11 +218,7 @@ def derive_family(
     if verify:
         assumed = "" if table.claimed else " (no d= given: the parent was taken as AME)"
         for params, t in out:
-            pair = check_commutation(t)
-            if pair is not None:  # pragma: no cover - construction guarantees
-                raise ReductionError(f"family member {params.label()} fails commutation {pair}")
-            if check_independence(t) is not None:  # pragma: no cover
-                raise ReductionError(f"family member {params.label()} is dependent")
+            require_stabilizer(t)  # construction guarantees it
             d = compute_distance(t, params.d, budget)
             if d != params.d:
                 measured = d if d is not None else f">{params.d}"

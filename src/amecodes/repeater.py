@@ -158,7 +158,6 @@ def _per_photon(code: CodeParams) -> float:
 
 
 _EPS = 2.0**-51  # two ulps: the relative error allowed to one float op, exp, log or power
-_FLOOR = math.log(1e-280)  # below it, every link count is evaluated exactly
 
 
 def _screened_curves(l_tot: float, ch: ChannelParams, pairs: list[tuple[int, int]]):
@@ -174,9 +173,15 @@ def _screened_curves(l_tot: float, ch: ChannelParams, pairs: list[tuple[int, int
     e (4d max r + 9n max r|log q| + 2 max|log L0| + 3); the first argmin of
     the rounded costs is within 2e of the largest exact log, so it has
     s >= max(s) - 2 tau - 2e.  s is nan or -inf only where q = 0, so
-    P_success = 0 (d <= n); +inf (overflow) is kept.  Below max(s) =
-    log(1e-280) the bounds fail (P_success^r may be subnormal; the rate
-    underflows, or eta_c = 0) and every link count is evaluated.
+    P_success = 0 (d <= n); +inf (overflow) is kept.  Floor: the bounds need
+    P_success^r normal at the top and at the argmin, where L0 P_success^r >=
+    exp(max(s) - tau - 2e).  With L0 <= L_tot and f = 2^-1022, the smallest
+    normal double, max(s) >= log(L_tot f) + (n + 8) log 2 + tau + 2e gives
+    P_success^r >= 2^(n+8) f there; the binomial terms' underflow, at most
+    (2^n + 2d) 2^-1075, is then below 2^-59 of P_success at r = 1 (less at
+    r > 1, where P_success >= f^(1/r)), inside the slack of e over a
+    correctly rounded sum.  Below the floor (the rate underflows, or eta_c
+    = 0) every link count is evaluated.
     """
     r = link_grid(l_tot).astype(float)
     l0 = l_tot / r
@@ -201,8 +206,9 @@ def _screened_curves(l_tot: float, ch: ChannelParams, pairs: list[tuple[int, int
             s += log_l0
             top = s.max(where=np.isfinite(s), initial=-np.inf)
             tau = _EPS * (4 * d * r[-1] + 9 * n * mag + spread)
+            floor = log_l0[0] + (n + 8 - 1022) * math.log(2) + tau + 2 * _EPS
             windows.append(np.flatnonzero(s >= top - 2 * tau - 2 * _EPS)
-                           if top >= _FLOOR else slice(None))
+                           if top >= floor else slice(None))
     del rho, r_log_q, log_l0, s
     for (n, d), idx in zip(pairs, windows):
         links, p = r[idx], p_l[idx]

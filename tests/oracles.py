@@ -144,6 +144,29 @@ def projective_group(table):
     return seen
 
 
+def greedy_pivot_rows(table, site):
+    """The greedy incremental-rank rule for pivots: walk the generators in
+    order and keep each one whose (x, z) pair on ``site`` lies outside the
+    Z_p-span of the pairs kept so far, until 2m are kept; None when fewer
+    are independent.  The span is a set of pairs closed by field addition,
+    so its rank is log_p of its size."""
+    f = table.field
+    span, kept = {(0, 0)}, []
+    for i, g in enumerate(table.gens):
+        x, z = g.sites[site]
+        if (x, z) in span:
+            continue
+        multiples = [(0, 0)]
+        for _ in range(f.p - 1):
+            a, b = multiples[-1]
+            multiples.append((f.add(a, x), f.add(b, z)))
+        span = {(f.add(a, c), f.add(b, e)) for a, b in span for c, e in multiples}
+        kept.append(i)
+        if len(kept) == 2 * f.m:
+            return kept
+    return None
+
+
 def min_group_weight(table):
     """Smallest weight of a nonzero element of the projective group."""
     weights = [

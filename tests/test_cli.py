@@ -31,6 +31,16 @@ def test_verify_failure_names_pair(tmp_path, capsys):
     assert "FAIL at pair (g1, g2)" in out
 
 
+@pytest.mark.parametrize("cmd", [["reduce"], ["children", "--outdir", "kids"], ["oracle"]])
+def test_non_commuting_table_names_generators_as_the_file_does(tmp_path, capsys, cmd):
+    bad = tmp_path / "bad.stabtab"
+    bad.write_text("code n=3 q=2\ng1: z1 z1 i\ng2: x1 x1 i\ng3: z1 i i\n")
+    code, out, _ = run(capsys, "verify", str(bad))
+    assert (code, out.splitlines()[1]) == (1, "commutation: FAIL at pair (g2, g3)")
+    argv = [cmd[0], str(bad)] + [str(tmp_path / a) if a == "kids" else a for a in cmd[1:]]
+    assert run(capsys, *argv) == (2, "", "error: generators g2 and g3 do not commute\n")
+
+
 def test_verify_usage_error_exit_2(capsys):
     code, _, err = run(capsys, "verify", "/nonexistent/table.stabtab")
     assert code == 2

@@ -4,14 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from amecodes import stabtab
+from amecodes import oracle, stabtab
 from amecodes.codes import GeneratorTable, compute_distance
 from amecodes.errors import DomainError, PhaseConsistencyError, ResourceBudgetError
 from amecodes.fields import GF
 from amecodes.oracle import (CodewordSet, ame_projection_codewords, dense_distance,
                              expand_stabilizer, knill_laflamme_check,
-                             reduced_density_matrix, reduced_entropy,
-                             stabilizing_paulis)
+                             reduced_density_matrix, reduced_entropy)
 from amecodes.pauli import PauliString, StateVector
 
 LOG2_3 = math.log2(3)
@@ -102,6 +101,28 @@ def test_expand_budget():
     )
     with pytest.raises(ResourceBudgetError):
         expand_stabilizer(t)
+
+
+def test_expand_projects_one_seed_per_coset(monkeypatch):
+    # the 10-site ring graph state without vertex 0's generator: the X parts
+    # span {x : x_0 = 0}, so index order reaches the second coset only at
+    # basis state 2^9; one projected seed per coset is 2 seeds, not 2^9 + 1
+    f2 = GF(2)
+    gens = []
+    for v in range(1, 10):
+        tokens = ["i"] * 10
+        tokens[v] = "x1"
+        tokens[v - 1] = tokens[(v + 1) % 10] = "z1"
+        gens.append(PauliString.from_tokens(f2, tokens))
+    calls = []
+    project = oracle._project_plus_one
+    monkeypatch.setattr(oracle, "_project_plus_one",
+                        lambda *args: calls.append(args) or project(*args))
+    cw = expand_stabilizer(GeneratorTable(f2, 10, tuple(gens)))
+    assert cw.K == 2
+    assert len(calls) == 2 * len(gens)
+    starts = [int(np.flatnonzero(w.amplitudes)[0]) for w in cw.words]
+    assert starts == [0, 2**9]
 
 
 def test_signed_generator_moves_the_eigenspace():
@@ -235,17 +256,6 @@ def test_projection_codewords_pass_kl_at_family_parameters():
                 continue
             words = ame_projection_codewords(state, msg)
             assert knill_laflamme_check(words, d) is None, (eid, msg)
-
-
-# -- stabilizing_paulis (the derivation oracle) ----------------------------------------
-
-
-def test_stabilizing_paulis_recovers_ame43_group():
-    psi = ame43_state()
-    plus_one = [op for op, lam in stabilizing_paulis(psi) if abs(lam - 1) < 1e-9]
-    assert len(plus_one) == 81  # 3^4 stabilizer elements of a 4-qutrit state
-    table_rows = {g.sites for g in stabtab.parse(AME_4_3).gens}
-    assert table_rows <= {op.sites for op in plus_one}
 
 
 def test_codeword_set_validates_orthonormality():

@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amecodes import linalg, stabtab
 from amecodes.codes import (GeneratorTable, check_commutation,
@@ -11,6 +13,7 @@ from amecodes.fields import GF
 from amecodes.pauli import PauliString
 from amecodes.reduction import (ReductionFriendlyForm, block_width, child_code,
                                 derive_family, find_pivot_rows, to_reduction_friendly)
+from oracles import greedy_pivot_rows
 
 AME_2_2 = "code n=2 q=2 k=0 d=2\ng1: z1 z1\ng2: x1 x1\n"
 AME_3_2 = "code n=3 q=2 k=0 d=2\ng1: i z1 z1\ng2: z1 i z1\ng3: x1 x1 x1\n"
@@ -100,6 +103,31 @@ def test_find_pivot_rows():
     assert find_pivot_rows(t9, 0) == [4, 5, 6, 7]
     with pytest.raises(DomainError):
         find_pivot_rows(t22, 5)
+
+
+@st.composite
+def pivot_tables(draw):
+    field = draw(st.sampled_from([GF(3), GF(5), GF(4), GF(9)]))
+    n = draw(st.integers(1, 5))
+    pair = st.one_of(st.just((0, 0)), st.tuples(st.integers(0, field.q - 1),
+                                                st.integers(0, field.q - 1)))
+    n_rows = field.m * draw(st.integers(1, n))
+    rows = draw(st.lists(st.lists(pair, min_size=n, max_size=n),
+                         min_size=n_rows, max_size=n_rows))
+    gens = tuple(PauliString(field, tuple(r)) for r in rows)
+    return GeneratorTable(field, n, gens), draw(st.integers(0, n - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(pivot_tables())
+def test_find_pivot_rows_is_the_greedy_incremental_rank_rule(case):
+    table, site = case
+    expected = greedy_pivot_rows(table, site)
+    if expected is None:
+        with pytest.raises(ReductionError, match=f"no independent pivot on site {site}"):
+            find_pivot_rows(table, site)
+    else:
+        assert find_pivot_rows(table, site) == expected
 
 
 def test_pivot_deficiency_is_distance_one_signal():

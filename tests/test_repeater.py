@@ -363,7 +363,9 @@ def test_optimizer_matches_one_full_curve_per_code(ch, distances, cells, pick):
 
 
 EDGE_CASES = {
-    "10^6 links, one curve evaluated on every link count": ([(14, 7)], 100000.0, CH),
+    "10^6 links, one curve evaluated on every link count": (
+        [(14, 7)], 100000.0, ChannelParams(eta_c=0.99999)),
+    "[[8,6,2]]_7 at 10^6 links, screened above the normal floor": ([(14, 7)], 100000.0, CH),
     "p_l = 0 exactly": ([(6, 2), (9, 3)], 1000.0, ChannelParams(l_att=1e300)),
     "l_att = 1e-3": ([(6, 2)], 1000.0, ChannelParams(l_att=1e-3)),
     "eta_c = 1e-3": ([(6, 2), (14, 7)], 1000.0, ChannelParams(eta_c=1e-3)),
@@ -418,6 +420,16 @@ def test_screen_evaluates_a_few_link_counts_on_the_catalog_grid(l_tot):
             if (code.n, code.d) == pair:
                 (_, r_st, _), (_, r_lt, _) = reference_costs(code, l_tot, CH)
                 assert {r_st, r_lt} <= set(links.tolist()), (code, r_st, r_lt)
+
+
+def test_screen_floor_follows_the_smallest_normal_double():
+    # [[8,6,2]]_7 at 100,000 km: P_success^r is about 2.4e-296 at the optimum,
+    # a normal double, so the screen applies; at eta_c = 0.99999 it is about
+    # 1.6e-298, below the floor, and every link count is evaluated
+    (links, _), = _screened_curves(100000.0, CH, [(8, 2)])
+    assert len(links) < 10**6
+    (links, _), = _screened_curves(100000.0, ChannelParams(eta_c=0.99999), [(8, 2)])
+    assert len(links) == 10**6
 
 
 def test_screen_takes_in_link_counts_where_poly_overflows():

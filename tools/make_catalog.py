@@ -2,10 +2,10 @@
 """Regenerate the shipped catalog from first principles.
 
 Source-figure tables are typed in verbatim; derived tables are produced
-by the package's own machinery (dense stabilizer search for the AME(4,3)
-generators, canonicalization of the textbook five-qubit state, child
-extraction for the GF(9) family) and re-verified before writing.  Run
-from the repository root:
+by the package's own machinery (canonicalization of the AME(4,3)
+stabilizers, checked against the explicit state by the dense oracle, and
+of the textbook five-qubit state; child extraction for the GF(9) family)
+and re-verified before writing.  Run from the repository root:
 
     python tools/make_catalog.py
 """
@@ -13,12 +13,15 @@ from the repository root:
 import sys
 from pathlib import Path
 
+import numpy as np
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from amecodes import stabtab
 from amecodes.codes import (CodeParams, GeneratorTable, check_commutation,
                             check_independence, compute_distance)
 from amecodes.fields import GF
+from amecodes.oracle import expand_stabilizer
 from amecodes.pauli import PauliString
 from amecodes.reduction import derive_family, to_reduction_friendly
 
@@ -101,11 +104,17 @@ def main():
         "child of ame_5_2; the printed child inherits the figure defect "
         "(weight-1 logical x on site 3) and is pinned by a regression test")
 
-    # derived AME(4,3): stabilizers of (1/3) sum |i,j,i+j,i+2j>, found by the
-    # dense oracle; reduction-friendly form of that generator set
+    # derived AME(4,3): stabilizers of (1/3) sum |i,j,i+j,i+2j>; the dense
+    # oracle's expansion of their reduction-friendly form is that state
     raw43 = table_from(
         ["x1 i x1 x1", "i x1 x1 x2", "z2 z2 z1 i", "z2 z1 i z1"], 4, 3, 0, 3)
     ame43 = to_reduction_friendly(raw43).table
+    explicit = np.zeros(81, dtype=complex)
+    for i in range(3):
+        for j in range(3):
+            explicit[((i * 3 + j) * 3 + (i + j) % 3) * 3 + (i + 2 * j) % 3] = 1 / 3
+    overlap = np.vdot(explicit, expand_stabilizer(ame43).words[0].amplitudes)
+    assert abs(abs(overlap) - 1) < 1e-9, "ame_4_3 does not stabilize the explicit state"
     add("ame_4_3", ame43, "derived",
         "dense-oracle stabilizers of the AME(4,3) superposition state, "
         "canonicalized; verified to stabilize the explicit amplitudes")
