@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from ..codes import CodeParams, GeneratorTable, check_commutation, check_independence
+from ..codes import CodeParams, GeneratorTable, require_stabilizer
 from ..errors import DomainError, ParseError
 from .. import stabtab
 
@@ -122,14 +122,10 @@ def load_catalog(directory: str | Path | None = None, verify: bool = True) -> li
             if entry.file is None:
                 continue
             table = load_table(entry, d)
-            pair = check_commutation(table)
-            if pair is not None:
-                raise DomainError(
-                    f"catalog entry {entry.id}: generators {pair[0]+1} and "
-                    f"{pair[1]+1} do not commute"
-                )
-            if check_independence(table) is not None:
-                raise DomainError(f"catalog entry {entry.id}: generators are dependent")
+            try:
+                require_stabilizer(table)
+            except DomainError as exc:
+                raise DomainError(f"catalog entry {entry.id}: {exc}") from None
             if table.claimed is None or table.claimed != entry.params:
                 raise DomainError(
                     f"catalog entry {entry.id}: file claims {table.claimed}, "

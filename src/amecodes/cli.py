@@ -30,8 +30,8 @@ import numpy as np
 
 from . import catalog as cat
 from . import stabtab
-from .codes import (CodeParams, check_commutation, check_independence,
-                    classify_singleton, compute_distance)
+from .codes import (DEFAULT_DISTANCE_BUDGET, CodeParams, check_commutation,
+                    check_independence, classify_singleton, compute_distance)
 from .errors import AmecodesError, DomainError, ParseError, PhaseConsistencyError, ResourceBudgetError
 from .fields import GF
 from .oracle import (CodewordSet, dense_distance, expand_stabilizer,
@@ -315,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check commutation, independence, distance")
     p.add_argument("file")
     p.add_argument("--dmax", type=int, default=None)
-    p.add_argument("--budget", type=int, default=10**9)
+    p.add_argument("--budget", type=int, default=DEFAULT_DISTANCE_BUDGET)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("reduce", help="emit the reduction-friendly form")
@@ -326,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("children", help="derive the child-code family")
     p.add_argument("file")
     p.add_argument("--outdir", required=True)
-    p.add_argument("--budget", type=int, default=10**9)
+    p.add_argument("--budget", type=int, default=DEFAULT_DISTANCE_BUDGET)
     p.add_argument("--no-verify", action="store_true")
     p.set_defaults(fn=cmd_children)
 
@@ -393,6 +393,8 @@ def main(argv: list[str] | None = None) -> int:
             if any(isinstance(v, float) and math.isnan(v)
                    for v in (value if isinstance(value, list) else [value])):
                 raise DomainError(f"--{dest.replace('_', '-')} must be a number, got nan")
+        if getattr(args, "budget", 0) < 0:
+            raise DomainError(f"--budget must be at least 0, got {args.budget}")
         return args.fn(args)
     except ResourceBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -42,7 +42,6 @@ tests per class, screened or not, charged before the class starts.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -164,27 +163,19 @@ class GeneratorTable:
         return GeneratorTable(self.field, self.n, self.gens, claimed)
 
 
-@functools.lru_cache(maxsize=None)
-def _trace_form(field: Field, n: int) -> np.ndarray:
-    """Omega = I_n (x) [[0, -G], [G, 0]] mod p, with G = field.gram.
-
-    For Z_p rows u, v of strings E, F, u @ Omega @ v = sum over sites of
-    tr(b*c - a*d) = E.commutation_exp(F) mod p (the trace-symplectic form
-    of Ketkar, Klappenecker, Kumar, Sarvepalli, IEEE TIT 2006,
-    quant-ph/0508070).  Cached per (field, n), hence read-only.
-    """
-    m = field.m
-    site = np.zeros((2 * m, 2 * m), dtype=np.int64)
-    site[:m, m:] = -field.gram
-    site[m:, :m] = field.gram
-    omega = np.kron(np.eye(n, dtype=np.int64), site) % field.p
-    omega.flags.writeable = False
-    return omega
-
-
 def _commutation_map(table: GeneratorTable) -> np.ndarray:
-    """Omega @ M^T mod p: commutation_exp(E, g_j) = E's Z_p row @ column j."""
-    return (_trace_form(table.field, table.n) @ table.symplectic_matrix().T) % table.field.p
+    """Omega M^T mod p: commutation_exp(E, g_j) = E's Z_p row @ column j.
+
+    Omega is the trace-symplectic form (Ketkar, Klappenecker, Kumar,
+    Sarvepalli, IEEE TIT 2006, quant-ph/0508070): over the sites,
+    tr(b*c - a*d) for E = (a, b) and g_j = (c, d).  With G = field.gram,
+    column j holds -G z_j on each site's x coordinates and G x_j on its z
+    coordinates, where (x_j, z_j) are g_j's coefficient vectors there.
+    """
+    f = table.field
+    cols = table.symplectic_matrix().T.reshape(table.n, 2, f.m, -1)  # site, x|z, coeff, g_j
+    omega_mt = np.concatenate([-f.gram @ cols[:, 1], f.gram @ cols[:, 0]], axis=1)
+    return omega_mt.reshape(-1, cols.shape[-1]) % f.p
 
 
 def check_commutation(table: GeneratorTable) -> tuple[int, int] | None:

@@ -11,11 +11,12 @@ Every element is referred to by an integer *index* in [0, q):
 
 One array holds the coefficients: row i of ``coeff_matrix`` lists the
 Z_p coefficients of element i over {1, alpha, ..., alpha^(m-1)}, and
-``coeff_index`` inverts it, keyed by the base-p value sum_k c_k p**k.
-For GF(p^m) the rows are the successive powers of x reduced by the
-monic modulus.  Every other table is derived from these two arrays with
-numpy: addition adds coefficient rows mod p and looks the sum up in
-``coeff_index``; multiplication is the product mod p for prime fields
+``coeff_index`` inverts it, keyed by the base-p value sum_k c_k p**k;
+``index_of_coeffs`` does that lookup for any array of coefficient
+vectors.  For GF(p^m) the rows are the successive powers of x reduced by
+the monic modulus.  Every other table is derived from these two arrays
+with numpy: addition adds coefficient rows and looks the sum up through
+``index_of_coeffs``; multiplication is the product mod p for prime fields
 and adds logs mod q-1 for extension fields; negation and inversion are
 read off those tables; the trace sums the coefficient rows of the
 Frobenius images x, x^p, ..., x^(p^(m-1)).
@@ -122,8 +123,7 @@ class Field:
             for e in range(2, q):
                 coeffs[e, 1:] = coeffs[e - 1, :-1]
                 coeffs[e] = (coeffs[e] - coeffs[e - 1, -1] * tail) % p
-        place = p ** np.arange(m)
-        keys = coeffs @ place
+        keys = coeffs @ p ** np.arange(m)
         if len(set(keys.tolist())) != q:
             # Distinct rows 0, 1, x, ..., x^(q-2) are all q classes of
             # Z_p[x]/(f).  If f(0) != 0, x is a unit, so all q-1 nonzero
@@ -141,19 +141,7 @@ class Field:
         # inverse of coeff_matrix, keyed by the base-p value sum_k c_k p**k
         self.coeff_index = np.zeros(q, dtype=np.int64)
         self.coeff_index[keys] = np.arange(q)
-        self._build_tables(place)
-        if self.m > 1 and self.trace(self.one_index) == 0:
-            warnings.warn(
-                f"in GF({q}) the trace of 1 vanishes (p divides m), so single-site "
-                "X and Z operators commute; some weight-1 errors are detectable "
-                "only through their other tensor factors",
-                stacklevel=3,
-            )
-
-    def _build_tables(self, place: np.ndarray) -> None:
-        p, m, q = self.p, self.m, self.q
-        c = self.coeff_matrix
-        self.add_table = self.coeff_index[((c[:, None] + c[None]) % p) @ place]
+        self.add_table = self.index_of_coeffs(coeffs[:, None] + coeffs[None])
         i = np.arange(q)
         if m == 1:
             self.mul_table = np.multiply.outer(i, i) % p
@@ -167,16 +155,23 @@ class Field:
         # trace(x) = x + x^p + ... + x^(p^(m-1)): the Frobenius image x^(p^k)
         # multiplies the log by p^k (k = 0 alone, the identity, for m = 1)
         frobenius = [np.concatenate(([0], (i[1:] - 1) * p**k % (q - 1) + 1)) for k in range(m)]
-        tr = sum(c[f] for f in frobenius) % p
+        tr = sum(coeffs[f] for f in frobenius) % p
         if tr[:, 1:].any():
             raise DomainError("trace left the prime subfield; broken tables")
         self.trace_table = tr[:, 0]
         # trace of a product; backs commutation phases and the dense Z action
         self.trmul_table = self.trace_table[self.mul_table]
         # the element with coefficient vector e_k is alpha**k
-        self.coeff_basis = [int(b) for b in self.coeff_index[place]]
+        self.coeff_basis = self.index_of_coeffs(np.eye(m, dtype=np.int64)).tolist()
         # Gram matrix of the trace form on the coefficient basis {1, alpha, ...}
         self.gram = self.trmul_table[np.ix_(self.coeff_basis, self.coeff_basis)]
+        if m > 1 and self.trace(self.one_index) == 0:
+            warnings.warn(
+                f"in GF({q}) the trace of 1 vanishes (p divides m), so single-site "
+                "X and Z operators commute; some weight-1 errors are detectable "
+                "only through their other tensor factors",
+                stacklevel=3,
+            )
 
     def _pow_raw(self, i: int, s: int) -> int:
         i, s = int(i), int(s)
@@ -224,11 +219,14 @@ class Field:
         """Coefficients of the element over {1, alpha, ..., alpha^(m-1)}."""
         return tuple(int(c) for c in self.coeff_matrix[i])
 
-    def index_of_coeffs(self, coeffs: Sequence[int]) -> int:
-        c = [int(x) % self.p for x in coeffs]
-        if len(c) != self.m:
-            raise DomainError(f"bad coefficient vector {list(coeffs)} for {self!r}")
-        return int(self.coeff_index[np.dot(c, self.p ** np.arange(self.m))])
+    def index_of_coeffs(self, coeffs) -> int | np.ndarray:
+        """Index of the element with these coefficients (read mod p), or an
+        array of indices for coefficient vectors along the last axis."""
+        c = np.asarray(coeffs, dtype=np.int64)
+        if c.shape[-1:] != (self.m,):
+            raise DomainError(f"bad coefficient vector {c.tolist()} for {self!r}")
+        idx = self.coeff_index[(c % self.p) @ self.p ** np.arange(self.m)]
+        return idx if c.ndim > 1 else int(idx)
 
     # -- element wrappers -----------------------------------------------------
 
@@ -264,8 +262,7 @@ class Field:
         except DomainError:
             raise DomainError("input elements are linearly dependent over Z_p") from None
         # column j of c holds the coefficients of b_j over {alpha**k}
-        keys = c.T @ self.p ** np.arange(self.m)
-        return [self.element(int(i)) for i in self.coeff_index[keys]]
+        return [self.element(i) for i in self.index_of_coeffs(c.T).tolist()]
 
     def decompose(self, x: "FieldElement | int", basis: Sequence["FieldElement | int"]) -> list[int]:
         """Coordinates of x over the given Z_p-basis: sum_i out[i]*basis[i] = x,
@@ -273,10 +270,6 @@ class Field:
         dual = self.dual_basis(basis)
         xi = x.index if isinstance(x, FieldElement) else int(x)
         return [self.trace_mul(xi, b.index) for b in dual]
-
-    def _lift_scalar(self, c: int) -> int:
-        """Index of the prime-subfield element with value c."""
-        return int(self.coeff_index[c % self.p])
 
     def _basis_indices(self, basis: Sequence["FieldElement | int"]) -> list[int]:
         if len(basis) != self.m:
@@ -320,15 +313,8 @@ def GF(q: int, modulus: Sequence[int] | None = None) -> Field:
     for extension fields; it is ignored for prime q.
     """
     p, m = factor_prime_power(q)
-    if m == 1:
-        return _cached_field(q, None)
-    if modulus is not None:
-        mod = tuple(int(c) % p for c in modulus)
-    else:
-        mod = PINNED_MODULI.get(q)
-        if mod is None:
-            raise DomainError(f"no pinned modulus for GF({q}); pass one explicitly")
-    return _cached_field(q, mod)
+    key = None if m == 1 or modulus is None else tuple(int(c) % p for c in modulus)
+    return _cached_field(q, key)
 
 
 @dataclass(frozen=True)

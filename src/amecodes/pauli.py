@@ -30,7 +30,7 @@ from .fields import Field
 
 APPLY_DIM_LIMIT = 2**20
 
-_TOKEN_RE = re.compile(r"^(?:i|(?:x(\d+))?(?:z(\d+))?)$")
+_TOKEN_RE = re.compile(r"^(?:i|(?=[xz])(?:x(\d+))?(?:z(\d+))?)$")
 
 
 @dataclass(frozen=True)
@@ -137,21 +137,16 @@ class PauliString:
 def sites_from_matrix(field: Field, mat, n: int) -> list[tuple[tuple[int, int], ...]]:
     """Site pairs of each row of a Z_p coefficient matrix (one vector or an
     N x 2mn array); the inverse of looking the pairs up in coeff_matrix."""
-    m, p = field.m, field.p
-    coeffs = (np.asarray(mat, dtype=np.int64) % p).reshape(-1, n, 2, m)
-    pairs = field.coeff_index[coeffs @ p ** np.arange(m)]
+    pairs = field.index_of_coeffs(np.asarray(mat, dtype=np.int64).reshape(-1, n, 2, field.m))
     return [tuple(map(tuple, row)) for row in pairs.tolist()]
 
 
 def parse_site_token(token: str, q: int) -> tuple[int, int]:
     """Parse one site token into an (x_index, z_index) pair."""
     m = _TOKEN_RE.match(token.strip().lower())
-    if not m or (m.group(0) != "i" and m.group(1) is None and m.group(2) is None):
+    if not m:
         raise DomainError(f"bad site token {token!r}")
-    if m.group(0) == "i":
-        return (0, 0)
-    a = int(m.group(1)) if m.group(1) is not None else 0
-    b = int(m.group(2)) if m.group(2) is not None else 0
+    a, b = (int(e) if e else 0 for e in m.groups())
     if a >= q or b >= q:
         raise DomainError(f"site token {token!r} has element index >= q={q}")
     return (a, b)

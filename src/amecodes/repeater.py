@@ -282,7 +282,7 @@ def cost_report(code: CodeParams, l_tot: float, ch: ChannelParams) -> CostReport
     """
     c_st, plan, throughput = _minimize_costs([code], l_tot, ch, _hardware)[code]
     _require_finite(c_st, code, l_tot, ch)
-    c_lt = float(code.n * code.q / throughput)
+    c_lt = float(_per_photon(code) / throughput)
     ps = p_success(code, loss_probability(plan.l0, ch))
     return CostReport(code, l_tot, ps, rate(code, plan, ch), c_st, c_lt, plan)
 

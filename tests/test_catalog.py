@@ -81,6 +81,19 @@ def test_catalog_rejects_index_table_mismatch(tmp_path):
         load_catalog(tmp_path)
 
 
+def test_catalog_names_the_entry_and_the_non_commuting_generators(tmp_path):
+    # ame_3_2 with g3's x1 on site 0 turned into z1: g3 = z x x anticommutes
+    # with g2 = z i z on site 2 alone
+    for path in catalog_dir().iterdir():
+        if path.suffix in (".stabtab", ".toml"):
+            (tmp_path / path.name).write_text(path.read_text())
+    table = tmp_path / "ame_3_2.stabtab"
+    table.write_text(table.read_text().replace("x1 x1 x1", "z1 x1 x1"))
+    with pytest.raises(DomainError, match="^catalog entry ame_3_2: generators g2 and g3 "
+                                          "do not commute$"):
+        load_catalog(tmp_path)
+
+
 def test_load_table_errors():
     with pytest.raises(DomainError, match="no catalog entry"):
         load_table("nope")

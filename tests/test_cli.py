@@ -293,6 +293,21 @@ def test_verify_dmax_below_one_exit_2(capsys):
     assert code == 1 and "distance: >1 (scanned to 1)" in out
 
 
+@pytest.mark.parametrize("cmd, budget", [
+    (["verify", "ame_6_2.stabtab"], "-1"),
+    (["children", "code_5_1_3_9.stabtab", "--outdir", "kids", "--no-verify"], "-7"),
+])
+def test_negative_budget_exit_2(tmp_path, capsys, cmd, budget):
+    argv = [cmd[0], str(catalog_dir() / cmd[1])]
+    argv += [str(tmp_path / a) if a == "kids" else a for a in cmd[2:]]
+    code, out, err = run(capsys, *argv, "--budget", budget)
+    assert (code, out, err) == (2, "", f"error: --budget must be at least 0, got {budget}\n")
+    assert not (tmp_path / "kids").exists()
+    # a budget of 0 is valid and runs out at the first weight class
+    code, _, err = run(capsys, "verify", str(catalog_dir() / "ame_6_2.stabtab"), "--budget", "0")
+    assert code == 3 and "(budget 0)" in err
+
+
 def test_oracle_kl_d_below_one_exit_2(capsys):
     table = str(catalog_dir() / "ame_5_2.stabtab")
     for kl_d in ("-3", "0"):

@@ -2,6 +2,7 @@ import itertools
 import random
 import warnings
 
+import numpy as np
 import pytest
 
 from amecodes.errors import DomainError, FieldMismatchError
@@ -35,7 +36,7 @@ def test_factor_prime_power():
 def test_construction_guards():
     with pytest.raises(DomainError):
         Field(67)  # beyond the prime cap
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="supported up to q=9"):
         GF(16)  # beyond the extension cap
     with pytest.raises(DomainError):
         Field(4, modulus=(1, 0, 1))  # x^2 + 1 reducible over Z_2
@@ -81,6 +82,11 @@ def test_field_axioms_randomized_larger_primes():
 def test_index_coeff_round_trip(field):
     for i in range(field.q):
         assert field.index_of_coeffs(field.coeffs(i)) == i
+    # coefficient vectors along the last axis, read mod p
+    stacked = np.stack([field.coeff_matrix, field.coeff_matrix + field.p])
+    assert field.index_of_coeffs(stacked).tolist() == [list(range(field.q))] * 2
+    with pytest.raises(DomainError, match="bad coefficient vector"):
+        field.index_of_coeffs([0] * (field.m + 1))
 
 
 def test_prime_inverse_matches_exhaustive_search():
@@ -181,7 +187,7 @@ def test_trace_examples():
 def test_trace_linear_and_nondegenerate(field):
     p = field.p
     for c in range(p):
-        c_idx = field._lift_scalar(c)
+        c_idx = field.index_of_coeffs([c] + [0] * (field.m - 1))
         for x, y in itertools.product(range(field.q), repeat=2):
             lhs = field.trace(field.add(field.mul(c_idx, x), y))
             assert lhs == (c * field.trace(x) + field.trace(y)) % p
@@ -227,7 +233,7 @@ def test_decompose():
         coords = f9.decompose(x, basis)
         acc = f9.zero
         for c, b in zip(coords, basis):
-            acc = acc + f9.element(f9._lift_scalar(c)) * b
+            acc = acc + f9.element(f9.index_of_coeffs([c, 0])) * b
         assert acc == x
 
 

@@ -19,7 +19,7 @@ from amecodes.fields import GF
 from amecodes.pauli import PauliString
 from amecodes.reduction import child_code, to_reduction_friendly
 
-FIELDS = [GF(q) for q in (2, 3, 5, 4, 9)]
+FIELDS = [GF(q) for q in (2, 3, 5, 7, 4, 8, 9)]
 SETTINGS = settings(max_examples=60, deadline=None)
 
 

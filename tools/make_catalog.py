@@ -4,8 +4,9 @@
 Source-figure tables are typed in verbatim; derived tables are produced
 by the package's own machinery (canonicalization of the AME(4,3)
 stabilizers, checked against the explicit state by the dense oracle, and
-of the textbook five-qubit state; child extraction for the GF(9) family)
-and re-verified before writing.  Run from the repository root:
+of the textbook five-qubit state; child extraction, with the AME(4,3)
+child checked against the state's projection codewords) and re-verified
+before writing.  Run from the repository root:
 
     python tools/make_catalog.py
 """
@@ -18,11 +19,10 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from amecodes import stabtab
-from amecodes.codes import (CodeParams, GeneratorTable, check_commutation,
-                            check_independence, compute_distance)
+from amecodes.codes import CodeParams, GeneratorTable, compute_distance, require_stabilizer
 from amecodes.fields import GF
-from amecodes.oracle import expand_stabilizer
-from amecodes.pauli import PauliString
+from amecodes.oracle import ame_projection_codewords, expand_stabilizer
+from amecodes.pauli import PauliString, StateVector
 from amecodes.reduction import derive_family, to_reduction_friendly
 
 OUT = Path(__file__).resolve().parents[1] / "src" / "amecodes" / "catalog"
@@ -50,8 +50,7 @@ def table_from(rows, n, q, k, d, modulus=None):
 
 
 def verified(table):
-    assert check_commutation(table) is None
-    assert check_independence(table) is None
+    require_stabilizer(table)
     assert compute_distance(table, table.claimed.d) == table.claimed.d
     return table
 
@@ -118,8 +117,15 @@ def main():
     add("ame_4_3", ame43, "derived",
         "dense-oracle stabilizers of the AME(4,3) superposition state, "
         "canonicalized; verified to stabilize the explicit amplitudes")
-    fam43 = derive_family(ame43)
-    add("code_3_1_2_3", fam43[1][1], "derived",
+    child43 = derive_family(ame43)[1][1]
+    # its code space is spanned by the projections <i|_0 |AME(4,3)>: two
+    # orthonormal triples span one space when their overlaps are unitary
+    words = expand_stabilizer(child43).words
+    projections = ame_projection_codewords(StateVector(GF(3), 4, explicit), 1).words
+    overlaps = [[np.vdot(a.amplitudes, b.amplitudes) for b in words] for a in projections]
+    assert np.allclose(np.linalg.svd(overlaps, compute_uv=False), 1, atol=1e-9), \
+        "code_3_1_2_3 does not span the projection codewords"
+    add("code_3_1_2_3", child43, "derived",
         "child of ame_4_3; code space equals the span of the projection codewords")
 
     # printed GF(9) figure, re-verified under the pinned modulus x^2+x+2
