@@ -19,25 +19,24 @@ generators, summed over an error's sites.  For p = 2 (q = 2, 4, 8) it is
 a bit vector, packed by :func:`~amecodes.linalg.pack_bits` into
 ceil(N / 64) ``uint64`` words, and syndromes add by XOR (the tableau
 packing of Aaronson and Gottesman, PRA 70, 052328 (2004)); for p > 2 they
-are Z_p vectors added as integers and reduced mod p.  Every weight class
-is scanned by one block loop.  Its trailing sites are the most whose
-product holds at most ``_BLOCK_ROWS`` errors; their syndrome sums are
-built by broadcasting, and each tuple of digits on the leading sites
-adds its syndrome to them to make one block, so blocks follow the flat
-order.  Without leading sites a chunk is as many consecutive subsets of
-the lexicographic order as fill ``_BLOCK_ROWS`` rows; zero rows are taken
-in (subset, flat row) order, so the first one that counts is the first
-witness.  With leading sites a chunk is one subset that passes a rank
-screen (Scott, PRA 69, 052330 (2004)): with M the table matrix, N its row
-count, Omega the trace form and r_out the rank of M on the columns
-outside a subset A, A supports an undetectable error when N - r_out > 0
-(k = 0) or 2m|A| - rank((M Omega) on A's columns) > N - r_out (k > 0).
-The first passing subset is scanned up to its first undetectable error.
-Lighter classes are clear by then, so that error has full support on A,
-and the witness is the one the unscreened scan finds.  For k > 0 a
-zero-syndrome error e is degenerate, a group element, exactly when M with
-e appended still has rank N.  The budget counts brute-force commutation
-tests per class, screened or not, charged before the class starts.
+are Z_p vectors added as integers and reduced mod p.  A weight class
+whose subsets each hold at most ``_BLOCK_ROWS`` errors is scanned in
+chunks of as many consecutive subsets as fill ``_BLOCK_ROWS`` rows, their
+syndrome sums built by broadcasting; zero rows are taken in (subset, flat
+row) order, so the first one that counts is the first witness.  A larger
+class is rank-screened (Scott, PRA 69, 052330 (2004)): with M the table
+matrix, N its row count, Omega the trace form and r_out the rank of M on
+the columns outside a subset A, A supports an undetectable error when
+N - r_out > 0 (k = 0) or 2m|A| - rank((M Omega) on A's columns) > N - r_out
+(k > 0).  Lighter classes are clear by then, so every error inside the
+first passing subset that counts has full support there and lies in the
+Z_p kernel of the syndrome map restricted to A.  That kernel is read off
+a nullspace basis, at most ``_BLOCK_ROWS`` combinations at a time; the
+witness is the first element in flat order that counts, the one the
+unscreened scan finds.  For k > 0 a zero-syndrome error e is degenerate,
+a group element, exactly when M with e appended still has rank N.  The
+budget counts brute-force commutation tests per class, screened or not,
+charged before the class starts.
 """
 
 from __future__ import annotations
@@ -55,8 +54,8 @@ from .fields import Field
 from .pauli import PauliString, error_count, sites_from_matrix
 
 DEFAULT_DISTANCE_BUDGET = 10**9
-# errors a distance scan holds at once; weight classes whose subsets each
-# hold more are rank-screened (see the module docstring)
+# errors, or kernel combinations, a distance scan holds at once; classes
+# whose subsets each hold more are rank-screened (see the module docstring)
 _BLOCK_ROWS = 2**12
 
 QMDS = "QMDS"
@@ -223,17 +222,24 @@ def _outside_rank(table: GeneratorTable, sites: Iterable[int]) -> int:
     )
 
 
+def require_budget(budget: int) -> None:
+    """DomainError unless the distance budget is at least 0."""
+    if budget < 0:
+        raise DomainError(f"budget must be at least 0, got {budget}")
+
+
 def find_min_undetectable(
     table: GeneratorTable, d_max: int, budget: int = DEFAULT_DISTANCE_BUDGET
 ) -> tuple[int, PauliString] | None:
     """First (by weight, then lexicographic order) undetectable error.
 
     Returns (weight, error) or None when nothing undetectable exists at
-    weight <= d_max.  Raises ResourceBudgetError before starting a
-    weight class that would push the commutation-test count past the
-    budget.  Requires a table that already passes check_commutation and
-    check_independence: the rank screen assumes both.
+    weight <= d_max.  Raises DomainError for a negative budget, and
+    ResourceBudgetError before a weight class that would push the
+    commutation-test count past it.  Requires a table that passes
+    check_commutation and check_independence: the rank screen assumes both.
     """
+    require_budget(budget)
     f = table.field
     p, m, n, q = f.p, f.m, table.n, f.q
     n_pairs = q * q - 1
@@ -251,19 +257,15 @@ def find_min_undetectable(
         syn, add = site_syn, np.add
     mat, k = table.symplectic_matrix(), table.k
 
-    def undetectable(sites, row):
-        """The error of flat row ``row`` of ``sites``, a zero-syndrome row, if
-        it counts: always for k = 0, outside the stabilizer group for k > 0."""
-        combo = np.unravel_index(row, (n_pairs,) * len(sites))
+    def undetectable(sites, digits):
+        """The zero-syndrome error of pair digits ``digits`` on ``sites``, if it
+        counts: always for k = 0, outside the stabilizer group for k > 0."""
         err_vec = np.zeros((n, 2 * m), dtype=np.int64)
-        err_vec[list(sites)] = pair_vecs[list(combo)]
+        err_vec[list(sites)] = pair_vecs[np.asarray(digits)]
         err_vec = err_vec.reshape(-1)
         if k > 0 and linalg.rank(np.vstack([mat, err_vec]), p) == n_gens:
             return None  # a stabilizer element: degenerate, not a logical
         return PauliString.from_symplectic(f, err_vec, n)
-
-    def is_zero(block):
-        return ~(block if p == 2 else block % p).any(axis=-1)
 
     def supports_undetectable(sites) -> bool:
         """Rank screen: some undetectable error is supported inside ``sites``."""
@@ -272,6 +274,27 @@ def find_min_undetectable(
             return in_group > 0
         commuting = 2 * m * len(sites) - linalg.rank(site_map[list(sites)].reshape(-1, n_gens), p)
         return commuting > in_group
+
+    def kernel_witness(sites):
+        """First undetectable error, in flat order, with full support on
+        ``sites``: a kernel element of the syndrome map restricted there."""
+        basis = linalg.nullspace(site_map[list(sites)].reshape(-1, n_gens).T, p)
+        n_combos, powers = p ** len(basis), p ** np.arange(len(basis))
+        best = (n_pairs,) * len(sites), None  # (digits, error), digits past every row
+        for start in range(0, n_combos, _BLOCK_ROWS):
+            combos = np.arange(start, min(start + _BLOCK_ROWS, n_combos))
+            vecs = ((combos[:, None] // powers % p) @ basis) % p
+            ab = f.index_of_coeffs(vecs.reshape(len(combos), len(sites), 2, m))
+            digits = ab[..., 0] * q + ab[..., 1] - 1  # (a, b)'s index in pairs
+            digits = digits[(digits >= 0).all(axis=1)]  # full support
+            for row in map(tuple, digits[np.lexsort(digits.T[::-1])]):
+                if row >= best[0]:
+                    break
+                hit = undetectable(sites, row)
+                if hit is not None:
+                    best = row, hit
+                    break
+        return best[1]
 
     width = syn.shape[-1]
     tests_done = 0
@@ -282,37 +305,29 @@ def find_min_undetectable(
                 f"distance scan at weight {w} needs {tests_done} commutation tests "
                 f"(budget {budget})"
             )
-        # trailing sites whose product fits in one block; each tuple of
-        # leading digits is one block, so blocks follow the flat order
-        tail_w = w
-        while n_pairs**tail_w > _BLOCK_ROWS:
-            tail_w -= 1
-        lead_w, tail_rows = w - tail_w, n_pairs**tail_w
         subsets = itertools.combinations(range(n), w)
-        if lead_w == 0:
-            # as many consecutive subsets as fill a block
-            per_chunk = _BLOCK_ROWS // tail_rows
-            chunks = iter(lambda: list(itertools.islice(subsets, per_chunk)), [])
-        else:
-            # one screened subset; every lighter class is clear, so the
-            # error inside it has full support there
-            chunks = ([sites] for sites in subsets if supports_undetectable(sites))
-        for chunk in chunks:
+        if n_pairs**w > _BLOCK_ROWS:
+            for sites in filter(supports_undetectable, subsets):
+                hit = kernel_witness(sites)
+                if hit is None:
+                    raise DomainError(
+                        f"rank screen passed sites {sites} but the scan found no error: "
+                        "the table must pass check_commutation and check_independence"
+                    )
+                return w, hit
+            continue
+        # as many consecutive subsets as fill a block
+        per_chunk = _BLOCK_ROWS // n_pairs**w
+        for chunk in iter(lambda: list(itertools.islice(subsets, per_chunk)), []):
             sites = np.array(chunk)
-            tail = syn[sites[:, lead_w]] if tail_w else np.zeros((1, 1, width), syn.dtype)
-            for s in sites[:, lead_w + 1 :].T:
-                tail = add(tail[:, :, None], syn[s][:, None]).reshape(len(chunk), -1, width)
-            for b, digits in enumerate(itertools.product(range(n_pairs), repeat=lead_w)):
-                block = add(tail, add.reduce(syn[sites[0, :lead_w], digits])) if lead_w else tail
-                for i, row in zip(*np.nonzero(is_zero(block))):
-                    hit = undetectable(chunk[i], b * tail_rows + row)
-                    if hit is not None:
-                        return w, hit
-            if lead_w:
-                raise DomainError(
-                    f"rank screen passed sites {chunk[0]} but the scan found no error: "
-                    "the table must pass check_commutation and check_independence"
-                )
+            block = syn[sites[:, 0]]
+            for s in sites[:, 1:].T:
+                block = add(block[:, :, None], syn[s][:, None]).reshape(len(chunk), -1, width)
+            zero = ~(block if p == 2 else block % p).any(axis=-1)
+            for i, row in zip(*np.nonzero(zero)):
+                hit = undetectable(chunk[i], np.unravel_index(row, (n_pairs,) * w))
+                if hit is not None:
+                    return w, hit
     return None
 
 

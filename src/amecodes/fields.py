@@ -54,17 +54,6 @@ PINNED_MODULI: dict[int, tuple[int, ...]] = {
 }
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def factor_prime_power(q: int) -> tuple[int, int]:
     """Split q into (p, m) with p prime, q = p**m."""
     if q < 2:

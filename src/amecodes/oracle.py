@@ -282,9 +282,3 @@ def reduced_entropy(state: StateVector, sites) -> float:
     probs = sing**2
     probs = probs[probs > 1e-12]
     return float(-(probs * np.log2(probs)).sum())
-
-
-def reduced_density_matrix(state: StateVector, sites) -> np.ndarray:
-    """Reduced density matrix on ``sites`` (partial trace over the rest)."""
-    psi = _bipartition(state, sites)
-    return psi @ psi.conj().T

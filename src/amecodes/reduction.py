@@ -31,7 +31,7 @@ import numpy as np
 
 from . import linalg
 from .codes import (DEFAULT_DISTANCE_BUDGET, CodeParams, GeneratorTable,
-                    compute_distance, require_stabilizer)
+                    compute_distance, require_budget, require_stabilizer)
 from .errors import DomainError, ReductionError
 
 EVEN = "even"
@@ -199,8 +199,10 @@ def derive_family(
     k+1 .. floor(n0/2)-1 for a parent AME table.  When ``verify`` is on,
     every member is checked: commutation, independence, and brute-force
     distance equal to the parameter formula (within ``budget``); a member
-    that fails raises ReductionError.
+    that fails raises ReductionError.  A negative budget raises DomainError
+    first, whether or not ``verify`` is on.
     """
+    require_budget(budget)
     form = to_reduction_friendly(table)
     if table.claimed is not None:
         params = table.claimed

@@ -196,6 +196,14 @@ def test_distance_budget_guard():
         compute_distance(t, 3, budget=10_000)
 
 
+def test_distance_refuses_a_negative_budget():
+    t = table(AME_6_2)
+    with pytest.raises(DomainError, match=r"^budget must be at least 0, got -1$"):
+        compute_distance(t, 4, budget=-1)
+    with pytest.raises(ResourceBudgetError, match=r"\(budget 0\)"):
+        compute_distance(t, 4, budget=0)
+
+
 def test_screened_scan_refuses_a_table_that_fails_commutation():
     # the rank screen assumes a commuting, independent table: on one that
     # is not, a subset can pass the screen and hold no undetectable error

@@ -1,25 +1,34 @@
-"""Property tests: the distance scan (rank screen plus bounded blocks)
-finds the same first undetectable error as an exhaustive scan, whatever
-the block size, and holds no more than a few blocks in memory.
+"""Property tests: the distance scan (chunks of whole subsets, then a
+rank screen with a kernel witness) finds the same first undetectable
+error as an exhaustive scan, whatever the block size, and holds no more
+than a few blocks in memory.
 
 The reference is ``oracles.first_undetectable``, which tests every error
 of every subset with scalar trace arithmetic.  With ``_BLOCK_ROWS`` = 1
-every weight class is screened and every block is one error; at the
-default only the large classes are.
+every weight class is screened and the kernel of each screened subset's
+syndrome map is read one combination at a time; at the default only the
+large classes are screened.  The Cauchy AME(8,11) and AME(10,11) states
+lie past the default budget and are checked against the rank route.
 """
 
+import itertools
+import math
 import random
 import tracemalloc
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from amecodes import codes, linalg
-from amecodes.codes import GeneratorTable, find_min_undetectable
+from amecodes.codes import GeneratorTable, find_min_undetectable, subsystem_entropy
+from amecodes.errors import ResourceBudgetError
 from amecodes.fields import GF
 from amecodes.pauli import PauliString
+from amecodes.reduction import derive_family
+from amecodes.repeater import children_params
 from oracles import first_undetectable
 
 # (q, largest n) kept small enough for the exhaustive reference
@@ -62,7 +71,7 @@ def scrambled_codes(draw):
 
 
 # an AME(4,9) graph state: its weight-3 class (80^3 errors a subset) is
-# screened and scanned in blocks at the default block size too
+# screened, and its witness read from a kernel, at the default block size too
 AME_4_9 = graph_state(GF(9), [[0, 7, 3, 4], [7, 0, 3, 7], [3, 3, 0, 1], [4, 7, 1, 0]])
 
 
@@ -80,26 +89,48 @@ def test_scan_matches_the_exhaustive_route_at_any_block_size(table):
         assert (hit[0], hit[1].sites) == (w, sites), block
 
 
-def cauchy_ame_6_7():
-    """Bipartite graph state of A_ij = 1/(x_i - y_j) over Z_7, x = 0, 1, 2 and
-    y = 3, 4, 5: A is superregular, so the state is AME(6,7) (Helwig et al.,
-    PRA 86, 052335 (2012))."""
-    field = GF(7)
-    a = [[pow(x - y, -1, 7) for y in (3, 4, 5)] for x in (0, 1, 2)]
-    adjacency = [[0] * 6 for _ in range(6)]
-    for i in range(3):
-        for j in range(3):
-            adjacency[i][3 + j] = adjacency[3 + j][i] = a[i][j]
-    return graph_state(field, adjacency)
+def cauchy_ame(t, p):
+    """Bipartite graph state of A_ij = 1/(x_i - y_j) over Z_p, x = 0..t-1 and
+    y = t..2t-1: A is superregular (2t <= p), so the state is AME(2t,p)
+    (Helwig et al., PRA 86, 052335 (2012))."""
+    adjacency = [[0] * 2 * t for _ in range(2 * t)]
+    for i in range(t):
+        for j in range(t):
+            adjacency[i][t + j] = adjacency[t + j][i] = pow(i - (t + j), -1, p)
+    return graph_state(GF(p), adjacency)
+
+
+def peak_scan(table, d_max, budget=codes.DEFAULT_DISTANCE_BUDGET):
+    """find_min_undetectable's result and its tracemalloc peak in bytes."""
+    tracemalloc.start()
+    try:
+        hit = find_min_undetectable(table, d_max, budget)
+        return hit, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_ame_6_7_scan_stays_under_32_mib():
-    table = cauchy_ame_6_7()
-    tracemalloc.start()
-    try:
-        hit = find_min_undetectable(table, 4)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    hit, peak = peak_scan(cauchy_ame(3, 7), 4)
     assert hit[0] == 4
     assert peak < 32 * 2**20, peak
+
+
+@pytest.mark.parametrize("t, p, witness", [
+    (4, 11, "z1 z5 z2 z4 x7 i i i"),
+    (5, 11, "z1 z4 z9 z8 z5 x6 i i i i"),
+])
+def test_cauchy_ame_past_the_default_budget(t, p, witness):
+    # the default budget refuses both scans (every screened class is charged
+    # its brute-force count); each finishes through one kernel witness
+    table, n = cauchy_ame(t, p), 2 * t
+    with pytest.raises(ResourceBudgetError):
+        find_min_undetectable(table, n // 2 + 1)
+    hit, peak = peak_scan(table, n // 2 + 1, budget=10**20)
+    assert (hit[0], str(hit[1])) == (n // 2 + 1, witness)
+    assert peak < 32 * 2**20, peak
+    # the rank route agrees: every n/2-subset is maximally mixed
+    for sites in itertools.combinations(range(n), n // 2):
+        assert subsystem_entropy(table, sites) == pytest.approx(t * math.log2(p))
+    family = derive_family(table, budget=10**20)  # checks every member's distance
+    assert [params for params, _ in family[1:]] == children_params(n, p)

@@ -9,8 +9,7 @@ from amecodes.codes import GeneratorTable, compute_distance
 from amecodes.errors import DomainError, PhaseConsistencyError, ResourceBudgetError
 from amecodes.fields import GF
 from amecodes.oracle import (CodewordSet, ame_projection_codewords, dense_distance,
-                             expand_stabilizer, knill_laflamme_check,
-                             reduced_density_matrix, reduced_entropy)
+                             expand_stabilizer, knill_laflamme_check, reduced_entropy)
 from amecodes.pauli import PauliString, StateVector
 
 LOG2_3 = math.log2(3)
@@ -216,15 +215,12 @@ def test_reduced_entropy_examples():
     for pair in itertools.combinations(range(4), 2):
         assert reduced_entropy(psi, pair) == pytest.approx(2 * LOG2_3, abs=1e-9)
     assert reduced_entropy(psi, range(4)) == pytest.approx(0.0, abs=1e-12)
-    rho = reduced_density_matrix(psi, [1])
-    assert np.allclose(rho, np.eye(3) / 3, atol=1e-10)
 
 
 def test_bipartition_rejects_sites_out_of_range():
     psi = ame43_state()
-    for fn in (reduced_entropy, reduced_density_matrix):
-        with pytest.raises(DomainError, match="out of range"):
-            fn(psi, [7])
+    with pytest.raises(DomainError, match="out of range"):
+        reduced_entropy(psi, [7])
 
 
 def test_reduced_entropy_agrees_with_symplectic_rank_method():

@@ -163,6 +163,14 @@ def test_family_distance_miss_raises_reduction_error():
     assert len(derive_family(t, verify=False)) == 2
 
 
+@pytest.mark.parametrize("verify", [True, False])
+def test_family_refuses_a_negative_budget_before_canonicalizing(verify):
+    # the table does not commute: the budget is checked before the form is built
+    t = stabtab.parse("code n=2 q=2 k=0\ng1: x1 i\ng2: z1 i\n")
+    with pytest.raises(DomainError, match=r"^budget must be at least 0, got -7$"):
+        derive_family(t, verify=verify, budget=-7)
+
+
 def test_to_reduction_friendly_rejects_broken_tables():
     f2 = GF(2)
     anti = GeneratorTable(f2, 2, (

@@ -6,7 +6,9 @@ by the package's own machinery (canonicalization of the AME(4,3)
 stabilizers, checked against the explicit state by the dense oracle, and
 of the textbook five-qubit state; child extraction, with the AME(4,3)
 child checked against the state's projection codewords) and re-verified
-before writing.  Run from the repository root:
+before writing.  The printed five-qubit figure and its child, which the
+catalog replaces, are typed in too and checked for the defects that the
+catalog notes name.  Run from the repository root:
 
     python tools/make_catalog.py
 """
@@ -19,7 +21,8 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from amecodes import stabtab
-from amecodes.codes import CodeParams, GeneratorTable, compute_distance, require_stabilizer
+from amecodes.codes import (CodeParams, GeneratorTable, compute_distance, find_min_undetectable,
+                            require_stabilizer)
 from amecodes.fields import GF
 from amecodes.oracle import ame_projection_codewords, expand_stabilizer
 from amecodes.pauli import PauliString, StateVector
@@ -85,9 +88,25 @@ def main():
     add("code_4_2_2_2", table_from(
         ["z1 x1 z1 z1", "x1 z1 x1z1 x1z1"], 4, 2, 2, 2), "paper-figure")
 
-    # derived AME(5,2): the printed figure is not a distance-3 table
-    # (its rows 4,5 multiply to the weight-2 element y x on sites 1,4);
-    # canonicalize the textbook five-qubit state instead
+    # the printed five-qubit figure is not a distance-3 table (its rows 4,5
+    # multiply to the weight-2 element y x on sites 1,4), and its printed
+    # child has a weight-1 logical x on site 3: the notes below say so
+    printed52 = table_from([
+        "i i x1 x1 x1",
+        "i z1 z1 i z1",
+        "i x1 z1 i x1z1",
+        "z1 i z1 z1 i",
+        "x1 i z1 x1z1 i"], 5, 2, 0, 3)
+    printed412 = table_from(["i x1 x1 x1", "z1 z1 i z1", "x1 z1 i x1z1"], 4, 2, 1, 2)
+    for printed in (printed52, printed412):
+        require_stabilizer(printed)
+    w, err = find_min_undetectable(printed52, 3)
+    assert (w, err.sites) == (2, (printed52.gens[3] * printed52.gens[4]).sites), \
+        "the printed AME(5,2) figure's first weight-2 element is not g4*g5"
+    w, err = find_min_undetectable(printed412, 2)
+    assert (w, err.sites) == (1, ((0, 0), (0, 0), (1, 0), (0, 0))), \
+        "the printed [[4,1,2]]_2 child has no weight-1 logical x on site 3"
+    # derived AME(5,2): canonicalize the textbook five-qubit state instead
     perfect = table_from([
         "x1 z1 z1 x1 i",
         "i x1 z1 z1 x1",
