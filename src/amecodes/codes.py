@@ -24,17 +24,18 @@ whose subsets each hold at most ``_BLOCK_ROWS`` errors is scanned in
 chunks of as many consecutive subsets as fill ``_BLOCK_ROWS`` rows, their
 syndrome sums built by broadcasting; zero rows are taken in (subset, flat
 row) order, so the first one that counts is the first witness.  A larger
-class is rank-screened (Scott, PRA 69, 052330 (2004)): with M the table
-matrix, N its row count, Omega the trace form and r_out the rank of M on
-the columns outside a subset A, A supports an undetectable error when
-N - r_out > 0 (k = 0) or 2m|A| - rank((M Omega) on A's columns) > N - r_out
-(k > 0).  Lighter classes are clear by then, so every error inside the
-first passing subset that counts has full support there and lies in the
-Z_p kernel of the syndrome map restricted to A.  That kernel is read off
-a nullspace basis, at most ``_BLOCK_ROWS`` combinations at a time; the
-witness is the first element in flat order that counts, the one the
-unscreened scan finds.  For k > 0 a zero-syndrome error e is degenerate,
-a group element, exactly when M with e appended still has rank N.  The
+class is screened: each subset A is decided by the Z_p kernel of the
+syndrome map restricted to it (``site_map[A]``, 2m|A| rows, N columns).
+Lighter classes are clear by then, so every error inside A that counts
+lies in that kernel with full support on A, and A holds one exactly when
+the kernel is nonzero (k = 0) or not inside the stabilizer group (k > 0).
+The kernel of the first such subset is read off a nullspace basis, at
+most ``_BLOCK_ROWS`` combinations at a time; the witness is the first
+element in flat order that counts, the one the unscreened scan finds.
+For k > 0, vectors lie in the group exactly when M, the table matrix
+with N rows, still has rank N with them appended.  That rank test is the
+one precondition: for k > 0 the generators must be independent.
+Commuting or not, a table gets the same result at every block size.  The
 budget counts brute-force commutation tests per class, screened or not,
 charged before the class starts.
 """
@@ -55,7 +56,7 @@ from .pauli import PauliString, error_count, sites_from_matrix
 
 DEFAULT_DISTANCE_BUDGET = 10**9
 # errors, or kernel combinations, a distance scan holds at once; classes
-# whose subsets each hold more are rank-screened (see the module docstring)
+# whose subsets each hold more are screened (see the module docstring)
 _BLOCK_ROWS = 2**12
 
 QMDS = "QMDS"
@@ -212,16 +213,6 @@ def require_stabilizer(table: GeneratorTable) -> None:
 # -- distance ----------------------------------------------------------------
 
 
-def _outside_rank(table: GeneratorTable, sites: Iterable[int]) -> int:
-    """Rank of the table matrix restricted to the columns of the sites not
-    in ``sites``; N minus it is log_p of the group elements inside them."""
-    outside = np.ones(table.n, dtype=bool)
-    outside[list(sites)] = False
-    return linalg.rank(
-        table.symplectic_matrix()[:, np.repeat(outside, 2 * table.field.m)], table.field.p
-    )
-
-
 def require_budget(budget: int) -> None:
     """DomainError unless the distance budget is at least 0."""
     if budget < 0:
@@ -236,8 +227,11 @@ def find_min_undetectable(
     Returns (weight, error) or None when nothing undetectable exists at
     weight <= d_max.  Raises DomainError for a negative budget, and
     ResourceBudgetError before a weight class that would push the
-    commutation-test count past it.  Requires a table that passes
-    check_commutation and check_independence: the rank screen assumes both.
+    commutation-test count past it.  A subset of a screened class is
+    decided by the kernel of its syndrome map.  For k > 0 the generators
+    must be independent (check_independence), since degenerate errors are
+    found by rank; commuting or not, the result does not depend on
+    ``_BLOCK_ROWS``.
     """
     require_budget(budget)
     f = table.field
@@ -257,28 +251,29 @@ def find_min_undetectable(
         syn, add = site_syn, np.add
     mat, k = table.symplectic_matrix(), table.k
 
+    def spread(sites, vecs):
+        """Z_p rows on ``sites`` as rows over all n sites, zero elsewhere."""
+        full = np.zeros((len(vecs), n, 2 * m), dtype=np.int64)
+        full[:, list(sites)] = vecs.reshape(len(vecs), len(sites), 2 * m)
+        return full.reshape(len(vecs), -1)
+
+    def degenerate(sites, vecs) -> bool:
+        """Every row of ``vecs`` (on ``sites``) lies in the stabilizer group:
+        M with them appended still has rank N."""
+        return linalg.rank(np.vstack([mat, spread(sites, vecs)]), p) == n_gens
+
     def undetectable(sites, digits):
         """The zero-syndrome error of pair digits ``digits`` on ``sites``, if it
         counts: always for k = 0, outside the stabilizer group for k > 0."""
-        err_vec = np.zeros((n, 2 * m), dtype=np.int64)
-        err_vec[list(sites)] = pair_vecs[np.asarray(digits)]
-        err_vec = err_vec.reshape(-1)
-        if k > 0 and linalg.rank(np.vstack([mat, err_vec]), p) == n_gens:
+        vec = pair_vecs[np.asarray(digits)].reshape(1, -1)
+        if k > 0 and degenerate(sites, vec):
             return None  # a stabilizer element: degenerate, not a logical
-        return PauliString.from_symplectic(f, err_vec, n)
+        return PauliString.from_symplectic(f, spread(sites, vec)[0], n)
 
-    def supports_undetectable(sites) -> bool:
-        """Rank screen: some undetectable error is supported inside ``sites``."""
-        in_group = n_gens - _outside_rank(table, sites)  # log_p |S_A|
-        if k == 0:
-            return in_group > 0
-        commuting = 2 * m * len(sites) - linalg.rank(site_map[list(sites)].reshape(-1, n_gens), p)
-        return commuting > in_group
-
-    def kernel_witness(sites):
+    def kernel_witness(sites, basis):
         """First undetectable error, in flat order, with full support on
-        ``sites``: a kernel element of the syndrome map restricted there."""
-        basis = linalg.nullspace(site_map[list(sites)].reshape(-1, n_gens).T, p)
+        ``sites``, in the span of ``basis``: the kernel of the syndrome map
+        restricted there."""
         n_combos, powers = p ** len(basis), p ** np.arange(len(basis))
         best = (n_pairs,) * len(sites), None  # (digits, error), digits past every row
         for start in range(0, n_combos, _BLOCK_ROWS):
@@ -307,14 +302,10 @@ def find_min_undetectable(
             )
         subsets = itertools.combinations(range(n), w)
         if n_pairs**w > _BLOCK_ROWS:
-            for sites in filter(supports_undetectable, subsets):
-                hit = kernel_witness(sites)
-                if hit is None:
-                    raise DomainError(
-                        f"rank screen passed sites {sites} but the scan found no error: "
-                        "the table must pass check_commutation and check_independence"
-                    )
-                return w, hit
+            for sites in subsets:
+                basis = linalg.nullspace(site_map[list(sites)].reshape(-1, n_gens).T, p)
+                if len(basis) and (k == 0 or not degenerate(sites, basis)):
+                    return w, kernel_witness(sites, basis)
             continue
         # as many consecutive subsets as fill a block
         per_chunk = _BLOCK_ROWS // n_pairs**w
@@ -336,8 +327,9 @@ def compute_distance(
 ) -> int | None:
     """Brute-force code distance, or None when it exceeds d_max.
 
-    Requires a table that already passes commutation and independence.
-    Deterministic regardless of how the scan is partitioned.
+    For k > 0 the generators must be independent.  Deterministic
+    regardless of how the scan is partitioned: each screened subset is
+    decided by its own kernel.
     """
     hit = find_min_undetectable(table, d_max, budget)
     return hit[0] if hit else None
@@ -362,7 +354,11 @@ def subsystem_entropy(table: GeneratorTable, sites: Iterable[int]) -> float:
     if not all(0 <= s < table.n for s in subset):
         raise DomainError(f"sites out of range for n={table.n}")
     f = table.field
-    dim_inside = len(table.gens) - _outside_rank(table, subset)  # log_p |S_A|
+    outside = np.ones(table.n, dtype=bool)
+    outside[subset] = False
+    # log_p |S_A|: N minus the rank of the matrix on the columns outside A
+    dim_inside = len(table.gens) - linalg.rank(
+        table.symplectic_matrix()[:, np.repeat(outside, 2 * f.m)], f.p)
     return (len(subset) - dim_inside / f.m) * math.log2(f.q)
 
 

@@ -101,10 +101,8 @@ def nullspace(mat, p: int) -> np.ndarray:
     cols = a.shape[1]
     free = [c for c in range(cols) if c not in pivots]
     basis = np.zeros((len(free), cols), dtype=np.int64)
-    for i, fc in enumerate(free):
-        basis[i, fc] = 1
-        for r, pc in enumerate(pivots):
-            basis[i, pc] = (-red[r, fc]) % p
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = (-red[: len(pivots), free].T) % p
     return basis
 
 

@@ -53,7 +53,7 @@ class ReductionFriendlyForm:
     def validate(self) -> None:
         """Check the left block bit-exactly against the staircase pattern."""
         t = self.table
-        expected = _pattern_matrix(t.field, len(t.gens), self.block_width)
+        expected = _pattern_matrix(t.field.m, len(t.gens), self.block_width)
         actual = t.symplectic_matrix()[:, : 2 * t.field.m * self.block_width]
         if not np.array_equal(actual, expected):
             raise DomainError("left block does not match the reduction-friendly pattern")
@@ -72,23 +72,19 @@ def _as_form(table: GeneratorTable) -> ReductionFriendlyForm:
     return ReductionFriendlyForm(table, width, ODD if extra else EVEN)
 
 
-def _pattern_matrix(field, n_rows: int, width: int) -> np.ndarray:
+def _pattern_matrix(m: int, n_rows: int, width: int) -> np.ndarray:
     """Left-block target: the staircase in symplectic coefficients, site j's
     target block on the anti-diagonal below the extra all-identity rows."""
-    stairs = np.kron(np.eye(width, dtype=np.int64)[::-1], _target_block(field))
+    stairs = np.kron(np.eye(width, dtype=np.int64)[::-1], _target_block(m))
     extra = np.zeros((n_rows - len(stairs), stairs.shape[1]), dtype=np.int64)
     return np.vstack([extra, stairs])
 
 
-def _target_block(field) -> np.ndarray:
-    """Per-site target restrictions, rows ordered Z_{alpha^k} then X_{alpha^k}."""
-    m = field.m
-    t = np.zeros((2 * m, 2 * m), dtype=np.int64)
-    for k in range(m):
-        alpha_k = field.pow(field.alpha_index, k)
-        t[k, m:] = field.coeff_matrix[alpha_k]
-        t[m + k, :m] = field.coeff_matrix[alpha_k]
-    return t
+def _target_block(m: int) -> np.ndarray:
+    """Per-site target restrictions, rows ordered Z_{alpha^k} then X_{alpha^k}.
+    alpha^k (k < m) has coefficient row e_k, so this is the x/z swap, its
+    own inverse."""
+    return np.roll(np.eye(2 * m, dtype=np.int64), m, axis=1)
 
 
 def _greedy_pivots(mat: np.ndarray, rows: list[int], site: int, m: int, p: int,
@@ -136,8 +132,7 @@ def to_reduction_friendly(table: GeneratorTable) -> ReductionFriendlyForm:
     width = block_width(table)
     if width < 1:
         raise DomainError("table too small to canonicalize (needs at least 2m generators)")
-    target = _target_block(f)
-    target_inv = linalg.inv(target, p)
+    target = _target_block(m)
 
     active = list(range(n_rows))
     stairs: list[int] = []  # pivot rows, last site's first, as they end up
@@ -150,7 +145,7 @@ def to_reduction_friendly(table: GeneratorTable) -> ReductionFriendlyForm:
         # clear this site from every other row, earlier pivots included;
         # the new pivots are zero on all earlier sites, so nothing regresses
         rest = [r for r in range(n_rows) if r not in sel]
-        coeffs = (mat[rest][:, cols] @ target_inv) % p
+        coeffs = (mat[rest][:, cols] @ target) % p
         mat[rest] = (mat[rest] - coeffs @ mat[sel]) % p
         stairs = sel + stairs
         active = [r for r in active if r not in sel]

@@ -244,6 +244,15 @@ def test_oracle_state_refuses_zero_and_siteless_input(tmp_path, capsys):
         assert message in err
 
 
+def test_oracle_refuses_a_file_and_a_state_together(tmp_path, capsys):
+    state = tmp_path / "state.txt"
+    state.write_text("1 0\n0 0\n")
+    code, out, err = run(capsys, "oracle", str(catalog_dir() / "ame_4_3.stabtab"),
+                         "--state", str(state), "--q", "2")
+    assert (code, out) == (2, "")
+    assert err == "error: pass a stabtab file or --state with --q, not both\n"
+
+
 def test_figure_refuses_infinite_costs(capsys):
     # eta_c = 0 leaves every child without a finite cost; at 10000 km and
     # eta_c = 0.98 only the last child of AME(14,7) has none, its siblings do

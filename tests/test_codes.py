@@ -204,14 +204,14 @@ def test_distance_refuses_a_negative_budget():
         compute_distance(t, 4, budget=0)
 
 
-def test_screened_scan_refuses_a_table_that_fails_commutation():
-    # the rank screen assumes a commuting, independent table: on one that
-    # is not, a subset can pass the screen and hold no undetectable error
+def test_non_commuting_table_gives_one_witness_at_every_block_size():
+    # site 0 holds group elements but no error that commutes with both
+    # generators; its kernel is empty, so the screened scan moves on too
     t = table("code n=2 q=2 k=0\ng1: x1 i\ng2: z1 i\n")
-    with mock.patch.object(codes, "_BLOCK_ROWS", 1):
-        with pytest.raises(DomainError, match=r"rank screen passed sites \(0,\) but the "
-                           r"scan found no error"):
-            find_min_undetectable(t, 2)
+    for block in (1, 97, codes._BLOCK_ROWS):
+        with mock.patch.object(codes, "_BLOCK_ROWS", block):
+            hit = find_min_undetectable(t, 2)
+        assert (hit[0], str(hit[1])) == (1, "i z1"), block
 
 
 def scramble(t, rng):

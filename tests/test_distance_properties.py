@@ -1,14 +1,17 @@
-"""Property tests: the distance scan (chunks of whole subsets, then a
-rank screen with a kernel witness) finds the same first undetectable
-error as an exhaustive scan, whatever the block size, and holds no more
-than a few blocks in memory.
+"""Property tests: the distance scan (chunks of whole subsets, then
+screened subsets, each decided by the kernel of its syndrome map) finds
+the same first undetectable error as an exhaustive scan, whatever the
+block size, and holds no more than a few blocks in memory.
 
 The reference is ``oracles.first_undetectable``, which tests every error
 of every subset with scalar trace arithmetic.  With ``_BLOCK_ROWS`` = 1
-every weight class is screened and the kernel of each screened subset's
-syndrome map is read one combination at a time; at the default only the
-large classes are screened.  The Cauchy AME(8,11) and AME(10,11) states
-lie past the default budget and are checked against the rank route.
+every weight class is screened and each kernel is read one combination
+at a time; at the default only the large classes are screened.  Random
+independent tables that need not commute are checked too: independence
+for k > 0 is the scan's one precondition.  Every catalog table and
+family member gives one witness at every block size.  The Cauchy
+AME(8,11) and AME(10,11) states lie past the default budget and are
+checked against the rank route.
 """
 
 import itertools
@@ -22,7 +25,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from amecodes import codes, linalg
+from amecodes import codes, linalg, stabtab
+from amecodes.catalog import catalog_dir, load_table
 from amecodes.codes import GeneratorTable, find_min_undetectable, subsystem_entropy
 from amecodes.errors import ResourceBudgetError
 from amecodes.fields import GF
@@ -70,15 +74,35 @@ def scrambled_codes(draw):
     return GeneratorTable.from_matrix(field, n, mat[: field.m * (n - k)])
 
 
+@st.composite
+def independent_tables(draw):
+    """m(n - k) random independent Z_p rows, some entries zeroed, which
+    need not commute."""
+    q, n_max = draw(st.sampled_from(SIZES))
+    field = GF(q)
+    n = draw(st.integers(2, n_max))
+    k = draw(st.integers(0, min(2, n - 1)))
+    density = draw(st.sampled_from([0.25, 0.5, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (field.m * (n - k), 2 * field.m * n)
+    while True:
+        mat = rng.integers(0, field.p, shape) * (rng.random(shape) < density)
+        if linalg.rank(mat, field.p) == shape[0]:
+            return GeneratorTable.from_matrix(field, n, mat)
+
+
 # an AME(4,9) graph state: its weight-3 class (80^3 errors a subset) is
 # screened, and its witness read from a kernel, at the default block size too
 AME_4_9 = graph_state(GF(9), [[0, 7, 3, 4], [7, 0, 3, 7], [3, 3, 0, 1], [4, 7, 1, 0]])
 
+# a Bell pair beside the [[4,2,2]] code: at block size 1 the kernel of
+# subset (0, 1), {ZZ, XX, YY}, is nonzero but inside the group, so the
+# scan must move on to the logical ZZ on sites 2 and 3
+BELL_AND_4_2_2 = stabtab.parse("code n=6 q=2 k=2\ng1: z1 z1 i i i i\ng2: x1 x1 i i i i\n"
+                               "g3: i i z1 z1 z1 z1\ng4: i i x1 x1 x1 x1\n")
 
-@settings(max_examples=60, deadline=None)
-@given(scrambled_codes())
-@example(AME_4_9)
-def test_scan_matches_the_exhaustive_route_at_any_block_size(table):
+
+def assert_scan_matches_the_exhaustive_route(table):
     w, sites = first_undetectable(table, table.n)
     n_pairs = table.field.q ** 2 - 1
     for block in (1, 97, codes._BLOCK_ROWS):
@@ -87,6 +111,32 @@ def test_scan_matches_the_exhaustive_route_at_any_block_size(table):
         with mock.patch.object(codes, "_BLOCK_ROWS", block):
             hit = find_min_undetectable(table, table.n)
         assert (hit[0], hit[1].sites) == (w, sites), block
+
+
+@settings(max_examples=60, deadline=None)
+@given(scrambled_codes())
+@example(AME_4_9)
+@example(BELL_AND_4_2_2)
+def test_scan_matches_the_exhaustive_route_at_any_block_size(table):
+    assert_scan_matches_the_exhaustive_route(table)
+
+
+@settings(max_examples=60, deadline=None)
+@given(independent_tables())
+def test_non_commuting_tables_match_the_exhaustive_route_at_any_block_size(table):
+    assert_scan_matches_the_exhaustive_route(table)
+
+
+@pytest.mark.parametrize("name", sorted(path.stem for path in catalog_dir().glob("*.stabtab")))
+def test_catalog_families_give_one_witness_at_every_block_size(name):
+    parent = load_table(name)
+    for table in [parent] + [member for _, member in derive_family(parent, verify=False)]:
+        found = set()
+        for block in (1, 97, codes._BLOCK_ROWS):
+            with mock.patch.object(codes, "_BLOCK_ROWS", block):
+                hit = find_min_undetectable(table, table.n)
+            found.add((hit[0], str(hit[1])))
+        assert len(found) == 1, found
 
 
 def cauchy_ame(t, p):
