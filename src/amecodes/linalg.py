@@ -34,7 +34,7 @@ def rref(mat, p: int) -> tuple[np.ndarray, list[int]]:
     Returns (R, pivot_columns).  R has the same shape as the input;
     zero rows sink to the bottom.
     """
-    a = _as_matrix(mat, p).copy()
+    a = _as_matrix(mat, p)
     rows, cols = a.shape
     pivots: list[int] = []
     r = 0
@@ -48,9 +48,9 @@ def rref(mat, p: int) -> tuple[np.ndarray, list[int]]:
         if i != r:
             a[[r, i]] = a[[i, r]]
         a[r] = (a[r] * pow(int(a[r, c]), -1, p)) % p
-        for j in range(rows):
-            if j != r and a[j, c]:
-                a[j] = (a[j] - a[j, c] * a[r]) % p
+        col = a[:, c].copy()
+        col[r] = 0
+        a = (a - np.outer(col, a[r])) % p
         pivots.append(c)
         r += 1
     return a, pivots

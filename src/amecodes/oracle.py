@@ -10,18 +10,23 @@ scans batch the errors of one site subset, so a code-space matrix
 element may differ from a one-error-at-a-time sum in its last bits;
 what is stable is the witness, the first flagged error in
 enumerate_errors order, under fixed tolerances (KL_TOL for the scalar
-test, 1/2 for a state's expectation value).  Inside the eigenspace
-projector, p = 2 generators with mixed X/Z sites are lifted by
-i**tr(a*b) per site (the Hermitian convention) so that every generator
-has order p, which the projector formula (1/p) * sum_s g**s requires;
-this does not change the projective group and is invisible to every
-other operation.
+test, 1/2 for a state's expectation value).  A CodewordSet records, per
+test, the weights its scans have cleared and the witness they found, so
+Knill-Laflamme checks and the dense distance on one set share one scan:
+each call resumes at the first weight not yet scanned.  The record is
+sound because the set is frozen and its words' amplitudes read-only.
+
+Inside the eigenspace projector, p = 2 generators with mixed X/Z sites
+are lifted by i**tr(a*b) per site (the Hermitian convention) so that
+every generator has order p, which the projector formula
+(1/p) * sum_s g**s requires; this does not change the projective group
+and is invisible to every other operation.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,13 +41,16 @@ ORTHO_TOL = 1e-10
 _BLOCK_ENTRIES = 2**16
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class CodewordSet:
     """An orthonormal list of K codewords spanning a code space."""
 
     field: Field
     n: int
     words: tuple[StateVector, ...]
+    # _first_error's record, per scan mode: (highest weight cleared, witness or None)
+    _scans: dict = dataclasses.field(default_factory=dict, init=False, compare=False,
+                                     repr=False)
 
     def __post_init__(self):
         for w in self.words:
@@ -170,6 +178,16 @@ def _first_error(c: CodewordSet, w_max: int, scalar: bool) -> PauliString | None
     ``scalar`` G is flagged when max |G - (tr G / K) I| > KL_TOL, which a
     1 x 1 matrix never is; otherwise when |G_00| > 1/2.
 
+    The scan resumes where the last one on ``c`` in the same mode stopped.
+    ``c._scans[scalar]`` holds the highest weight cleared and the first
+    witness, or None: a witness of weight <= w_max is returned as it
+    stands, a cleared weight >= w_max gives None, and otherwise the scan
+    goes on from the next weight and records what it finds.  Each weight
+    class is scanned whole and in order whatever w_max is, so the record
+    answers every later call as a scan from weight 1 would; the words it
+    depends on cannot change, as CodewordSet is frozen and a StateVector's
+    amplitudes are a read-only copy.
+
     The errors on one site subset A are one batch.  Write the codewords
     as W[a, m, r], a the digits on A and r those on the other sites.  An
     error with X part x and Z part z on A has G = sum_a omega**tr(z.a)
@@ -185,15 +203,21 @@ def _first_error(c: CodewordSet, w_max: int, scalar: bool) -> PauliString | None
     reaches when K <= q^(n-1), by the quantum Singleton bound.
     """
     _check_budget(c.field, c.n)
+    cleared, witness = c._scans.get(scalar, (0, None))
+    if witness is not None and witness.weight() <= w_max:
+        return witness
+    if cleared >= w_max:
+        return None
     f, n, K = c.field, c.n, c.K
     q = f.q
     words = np.array([w.amplitudes for w in c.words]).reshape((K,) + (q,) * n)
     char = np.exp(2j * np.pi / f.p) ** f.trmul_table  # char[z, a] = omega**tr(z a)
     cap = max(_BLOCK_ENTRIES, K * q**n + K * K)
-    for w in range(1, w_max + 1):
+    for w in range(cleared + 1, w_max + 1):
         if w > n:
             raise DomainError(f"weight {w} out of range for n={n}")
         if scalar and K == 1:
+            c._scans[scalar] = (w, None)
             continue
         step = max(1, cap // max(K * q**n, q**w * K * K))
         blocks = [(lo, min(lo + step, q**w)) for lo in range(0, q**w, step)]
@@ -232,7 +256,10 @@ def _first_error(c: CodewordSet, w_max: int, scalar: bool) -> PauliString | None
                 full = [(0, 0)] * n
                 for s, pair in zip(sites, best[1].tolist()):
                     full[s] = divmod(pair + 1, q)
-                return PauliString(f, tuple(full))
+                witness = PauliString(f, tuple(full))
+                c._scans[scalar] = (w - 1, witness)
+                return witness
+        c._scans[scalar] = (w, None)
     return None
 
 

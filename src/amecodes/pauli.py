@@ -193,7 +193,8 @@ class StateVector:
     """A dense state on n q-dimensional sites.
 
     Amplitudes are indexed by base-q digit strings, site 0 most
-    significant; digit values are element indices of the field.
+    significant; digit values are element indices of the field.  They are
+    held as a read-only copy of the array passed in.
     """
 
     field: Field
@@ -202,7 +203,8 @@ class StateVector:
     normalized: bool = True
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=np.complex128)
+        amps = np.array(self.amplitudes, dtype=np.complex128)
+        amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
         if amps.shape != (self.field.q**self.n,):
             raise DomainError(

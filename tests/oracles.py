@@ -3,9 +3,10 @@
 Everything here is deliberately written from scratch against the
 definitions, without touching the package's tables or symplectic
 machinery, so expected values stay independent of the code paths they
-check: naive polynomial arithmetic over Z_p[x]/(modulus), dense Pauli
-matrices built by Kronecker products, exhaustive searches, and the
-repeater cost curve evaluated on its own full link grid for each code.
+check: naive polynomial arithmetic over Z_p[x]/(modulus), row reduction
+one row at a time, dense Pauli matrices built by Kronecker products,
+exhaustive searches, and the repeater cost curve evaluated on its own
+full link grid for each code.
 """
 
 from __future__ import annotations
@@ -103,6 +104,30 @@ def dense_pauli(field, sites, phase_exp=0):
         z_mat = np.diag([omega ** field.trace_mul(b, j) for j in range(q)])
         total = np.kron(total, x_mat @ z_mat)
     return total
+
+
+# -- row reduction over Z_p, one row operation at a time -----------------------
+
+
+def rref_rows(mat, p):
+    """(reduced row echelon form, pivot columns) mod p of a list of rows,
+    by Gauss-Jordan elimination on Python ints, one row at a time."""
+    rows = [[int(x) % p for x in row] for row in mat]
+    pivots, r = [], 0
+    for c in range(len(rows[0]) if rows else 0):
+        below = [i for i in range(r, len(rows)) if rows[i][c]]
+        if not below:
+            continue
+        rows[r], rows[below[0]] = rows[below[0]], rows[r]
+        inverse = next(t for t in range(1, p) if rows[r][c] * t % p == 1)
+        rows[r] = [x * inverse % p for x in rows[r]]
+        for j in range(len(rows)):
+            if j != r:
+                factor = rows[j][c]
+                rows[j] = [(x - factor * y) % p for x, y in zip(rows[j], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows, pivots
 
 
 # -- exhaustive searches -----------------------------------------------------

@@ -1,11 +1,17 @@
+import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from amecodes.catalog import catalog_dir
+from amecodes.catalog import catalog_dir, load_catalog
 from amecodes.cli import build_parser, main
+
+# "<catalog id>[ --kl-d D]" -> exit code, stdout and stderr of `amecodes oracle`
+PINNED_ORACLE = json.loads(
+    (Path(__file__).resolve().parent / "pinned_outputs.json").read_text())["oracle"]
 
 
 def run(capsys, *argv):
@@ -410,3 +416,18 @@ def test_figure_malformed_code_flags_exit_2(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert message in err
+
+
+@pytest.mark.parametrize("call", sorted(PINNED_ORACLE))
+def test_oracle_output_is_pinned(capsys, call):
+    entry, *flags = call.split()
+    want = PINNED_ORACLE[call]
+    got = run(capsys, "oracle", str(catalog_dir() / f"{entry}.stabtab"), *flags)
+    assert got == (want["exit"], want["stdout"], want["stderr"])
+
+
+def test_pinned_oracle_calls_cover_the_catalog():
+    # each table bare, at --kl-d d and at --kl-d d + 1
+    want = {f"{e.id}{flags}" for e in load_catalog() if e.file
+            for flags in ("", f" --kl-d {e.d}", f" --kl-d {e.d + 1}")}
+    assert set(PINNED_ORACLE) == want

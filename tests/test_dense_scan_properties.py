@@ -3,7 +3,10 @@
 as a walk over ``enumerate_errors`` that applies each error as a product
 of ``tests/oracles.dense_pauli`` site matrices and tests one code-space
 matrix at a time, whatever the block size; and it holds no more than a
-few blocks in memory on a q^n = 4096 state scanned to weight n.
+few blocks in memory on a q^n = 4096 state scanned to weight n.  Calls
+on one CodewordSet resume its recorded scan: they answer as on a fresh
+set, and after the distance scan the Knill-Laflamme checks at d and
+d + 1 on a catalog code scan no subset.
 
 Inputs: the codewords of random stabilizer tables (scrambled graph states
 over Z_2, Z_3, Z_5 and GF(4), cut to k = 0-2) and random orthonormal
@@ -14,10 +17,12 @@ import tracemalloc
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from amecodes import linalg, oracle
+from amecodes.catalog import load_catalog, load_table
 from amecodes.codes import GeneratorTable
 from amecodes.errors import DomainError
 from amecodes.fields import GF
@@ -29,7 +34,11 @@ from test_distance_properties import graph_state
 
 # (q, largest n) with q^n <= 1024
 SIZES = [(2, 10), (3, 6), (5, 4), (4, 5)]
+# with q^n <= 256, small enough for every call to scan to weight n
+SMALL_SIZES = [(2, 8), (3, 5), (5, 3), (4, 4)]
 BLOCKS = (1, 1031, oracle._BLOCK_ENTRIES)
+# the catalog's k > 0 tables small enough for the dense oracle
+DENSE_CODES = [e for e in load_catalog() if e.k and e.q**e.n <= oracle.DENSE_BUDGET]
 # errors the reference walk may visit per check
 REFERENCE_ERRORS = 3000
 
@@ -57,6 +66,11 @@ def reference_first_error(c, w_max, scalar):
     return None
 
 
+def fresh(c):
+    """The same codewords in a new set, with no scan recorded."""
+    return CodewordSet(c.field, c.n, c.words)
+
+
 def outcome(fn, *args):
     try:
         return fn(*args)
@@ -75,10 +89,10 @@ def deepest(field, n):
 
 
 @st.composite
-def table_codewords(draw):
+def table_codewords(draw, sizes=SIZES):
     """Codewords of a graph state over Z_p or GF(4), its rows mixed by a
     random invertible Z_p matrix, keeping the first m(n - k) rows."""
-    q, n_max = draw(st.sampled_from(SIZES))
+    q, n_max = draw(st.sampled_from(sizes))
     field = GF(q)
     n = draw(st.integers(2, n_max))
     low = draw(st.integers(0, 1))  # 1: a complete graph, of larger distance
@@ -98,9 +112,9 @@ def table_codewords(draw):
 
 
 @st.composite
-def random_subspaces(draw):
+def random_subspaces(draw, sizes=SIZES):
     """An orthonormal basis of a random K-dimensional subspace (K = 1-4)."""
-    q, n_max = draw(st.sampled_from(SIZES))
+    q, n_max = draw(st.sampled_from(sizes))
     field = GF(q)
     n = draw(st.integers(1, n_max))
     K = draw(st.integers(1, min(4, q**n)))
@@ -111,7 +125,8 @@ def random_subspaces(draw):
 
 def check_against_reference(c):
     """Both checks as deep as the reference's budget allows: past n + 1 for
-    Knill-Laflamme (the range error) on inputs small enough to scan whole."""
+    Knill-Laflamme (the range error) on inputs small enough to scan whole.
+    Each block size scans a fresh set, which has no earlier scan to resume."""
     top = deepest(c.field, c.n)
     d = top + 2 if top == c.n else top + 1
     kl = outcome(reference_first_error, c, d - 1, True)
@@ -119,8 +134,8 @@ def check_against_reference(c):
     dist = None if dist is None else dist.weight()
     for block in BLOCKS:
         with mock.patch.object(oracle, "_BLOCK_ENTRIES", block):
-            assert outcome(knill_laflamme_check, c, d) == kl, block
-            assert dense_distance(c, top) == dist, block
+            assert outcome(knill_laflamme_check, fresh(c), d) == kl, block
+            assert dense_distance(fresh(c), top) == dist, block
 
 
 # a [[3,1]]_5 code whose weight-2 witness z1 x3 i has X part (0, 3) on sites
@@ -140,6 +155,31 @@ def test_scan_matches_the_per_error_walk_on_stabilizer_codes(c):
 @given(random_subspaces())
 def test_scan_matches_the_per_error_walk_on_random_subspaces(c):
     check_against_reference(c)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(table_codewords(SMALL_SIZES), random_subspaces(SMALL_SIZES)), st.data())
+def test_calls_on_one_set_answer_as_on_a_fresh_set(c, data):
+    # d from -1 to n + 3: below 1 and past n + 1 reach the range errors
+    calls = data.draw(st.lists(st.tuples(st.sampled_from([knill_laflamme_check, dense_distance]),
+                                         st.integers(-1, c.n + 3)), min_size=1, max_size=6))
+    for fn, d in calls:
+        assert outcome(fn, c, d) == outcome(fn, fresh(c), d), (fn.__name__, d)
+
+
+@pytest.mark.parametrize("entry", DENSE_CODES, ids=lambda e: e.id)
+def test_knill_laflamme_after_the_distance_scans_no_subset(entry, monkeypatch):
+    c = expand_stabilizer(load_table(entry))
+    want = [knill_laflamme_check(fresh(c), d) for d in (entry.d, entry.d + 1)]
+    calls = []
+    x_block = oracle._x_block
+    monkeypatch.setattr(oracle, "_x_block", lambda *args: calls.append(args) or x_block(*args))
+    assert dense_distance(c, entry.d + 1) == entry.d
+    assert calls  # the distance scan itself is counted
+    calls.clear()
+    assert [knill_laflamme_check(c, d) for d in (entry.d, entry.d + 1)] == want
+    assert want[0] is None and want[1].weight() == entry.d
+    assert calls == []
 
 
 def test_scan_to_weight_n_stays_within_a_few_blocks():

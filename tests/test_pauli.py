@@ -230,3 +230,14 @@ def test_state_vector_validation():
     with pytest.raises(DomainError):
         StateVector(f2, 1, np.array([1.0, 1.0]))  # not normalized
     StateVector(f2, 1, np.array([2.0, 0.0]), normalized=False)
+
+
+def test_state_vector_holds_a_read_only_copy():
+    amps = np.array([0.6, 0.8j])
+    v = StateVector(GF(2), 1, amps)
+    assert not v.amplitudes.flags.writeable
+    with pytest.raises(ValueError):
+        v.amplitudes[0] = 1.0
+    assert amps.flags.writeable
+    amps[0] = 0.8  # the caller's array is neither frozen nor shared
+    assert v.amplitudes[0] == 0.6
