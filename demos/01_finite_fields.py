@@ -1,5 +1,7 @@
 #!/usr/bin/env python3
-"""Tour of the finite-field layer: GF(9) arithmetic, traces, dual bases."""
+"""Tour of the finite-field layer: GF(9) arithmetic, traces, the trace form."""
+
+import numpy as np
 
 from amecodes import GF
 
@@ -12,26 +14,24 @@ print("Z_5:  2 * 4 =", f5.mul(2, 4), "   2^-1 =", f5.inv(2))
 f9 = GF(9)
 print("\nGF(9) with modulus", f9.modulus, " (alpha = class of x)")
 print("index -> coefficients over {1, alpha}:")
-for e in f9.elements():
-    name = "0" if e.index == 0 else f"alpha^{e.index - 1}"
-    print(f"  {e.index}: {name:>8} = {e.coeffs()}")
+for i in range(f9.q):
+    name = "0" if i == 0 else f"alpha^{i - 1}"
+    print(f"  {i}: {name:>8} = {f9.coeffs(i)}")
 
 # alpha has multiplicative order q - 1 = 8, and alpha^4 = 2 = -1.
-a = f9.alpha
-print("\nalpha^4 =", (a**4).coeffs(), " (the element 2, i.e. -1 mod 3)")
-print("alpha^8 =", (a**8).coeffs(), " (back to 1)")
+a = f9.alpha_index
+print("\nalpha^4 =", f9.coeffs(f9.pow(a, 4)), " (the element 2, i.e. -1 mod 3)")
+print("alpha^8 =", f9.coeffs(f9.pow(a, 8)), " (back to 1)")
 
 # The Galois trace maps GF(9) onto Z_3 linearly: tr(x) = x + x^3.
 print("\ntraces:", [f9.trace(i) for i in range(9)])
 
-# Trace-dual bases make coordinate extraction a trace computation:
-# tr(basis[i] * dual[j]) = delta_ij.
-basis = [f9.one, f9.alpha]
-dual = f9.dual_basis(basis)
-print("\ndual basis of {1, alpha}:", [d.index for d in dual])
-for i, bi in enumerate(basis):
-    print("  trace row:", [(bi * dj).trace() for dj in dual])
-
-# Decomposition over a basis inverts the linear combination.
-x = f9.element(7)  # alpha^6
-print("\nalpha^6 decomposed over {1, alpha}:", f9.decompose(x, basis))
+# The trace form tr(x * y) is bilinear over Z_3, so its Gram matrix on the
+# basis {1, alpha} gives it on coefficient vectors: tr(x * y) = cx . G . cy.
+# This is the matrix through which the codes layer reads the
+# trace-symplectic product of two Pauli strings.
+G = f9.gram
+print("\ntrace-form Gram matrix on {1, alpha}:", G.tolist())
+x, y = 3, 7  # alpha^2, alpha^6
+via_gram = int(np.array(f9.coeffs(x)) @ G @ np.array(f9.coeffs(y)) % f9.p)
+print("tr(alpha^2 * alpha^6) =", f9.trace_mul(x, y), " via the Gram matrix:", via_gram)

@@ -38,7 +38,7 @@ for i, w in enumerate(codewords.words):
 # code space, some weight-2 product does not.
 print("\nKL at d=2:", "pass" if knill_laflamme_check(codewords, 2) is None else "fail")
 witness = knill_laflamme_check(codewords, 3)
-print("KL at d=3: fail, witness", witness, "(weight", witness.weight(), ")")
+print("KL at d=3: fail, witness", witness, f"(weight {witness.weight()})")
 print("dense distance:", dense_distance(codewords, 3))
 
 # The same code arrives through the stabilizer route: expanding the

@@ -15,7 +15,7 @@ from .codes import (CodeParams, GeneratorTable, check_commutation,
                     is_ame, subsystem_entropy)
 from .errors import (AmecodesError, DomainError, FieldMismatchError, ParseError,
                      PhaseConsistencyError, ReductionError, ResourceBudgetError)
-from .fields import GF, Field, FieldElement
+from .fields import GF, Field
 from .oracle import (CodewordSet, ame_projection_codewords, dense_distance,
                      expand_stabilizer, knill_laflamme_check, reduced_entropy)
 from .pauli import PauliString, StateVector, apply, enumerate_errors
@@ -28,7 +28,7 @@ from .repeater import (ChannelParams, CostReport, LinkPlan, cost_long_term,
 __version__ = "0.1.0"
 
 __all__ = [
-    "GF", "Field", "FieldElement",
+    "GF", "Field",
     "PauliString", "StateVector", "apply", "enumerate_errors",
     "CodeParams", "GeneratorTable", "check_commutation", "check_independence",
     "classify_singleton", "compute_distance", "is_ame", "subsystem_entropy",

@@ -32,9 +32,8 @@ the kernel is nonzero (k = 0) or not inside the stabilizer group (k > 0).
 The kernel of the first such subset is read off a nullspace basis, at
 most ``_BLOCK_ROWS`` combinations at a time; the witness is the first
 element in flat order that counts, the one the unscreened scan finds.
-For k > 0, vectors lie in the group exactly when M, the table matrix
-with N rows, still has rank N with them appended.  That rank test is the
-one precondition: for k > 0 the generators must be independent.
+For k > 0, vectors lie in the group exactly when M, the table matrix,
+keeps its rank with them appended; M's rows need not be independent.
 Commuting or not, a table gets the same result at every block size.  The
 budget counts brute-force commutation tests per class, screened or not,
 charged before the class starts.
@@ -228,9 +227,8 @@ def find_min_undetectable(
     weight <= d_max.  Raises DomainError for a negative budget, and
     ResourceBudgetError before a weight class that would push the
     commutation-test count past it.  A subset of a screened class is
-    decided by the kernel of its syndrome map.  For k > 0 the generators
-    must be independent (check_independence), since degenerate errors are
-    found by rank; commuting or not, the result does not depend on
+    decided by the kernel of its syndrome map.  For k > 0 degenerate errors
+    are found by rank; commuting or not, the result does not depend on
     ``_BLOCK_ROWS``.
     """
     require_budget(budget)
@@ -250,6 +248,7 @@ def find_min_undetectable(
     else:
         syn, add = site_syn, np.add
     mat, k = table.symplectic_matrix(), table.k
+    group_rank = linalg.rank(mat, p) if k else 0  # log_p of the group's order
 
     def spread(sites, vecs):
         """Z_p rows on ``sites`` as rows over all n sites, zero elsewhere."""
@@ -259,8 +258,8 @@ def find_min_undetectable(
 
     def degenerate(sites, vecs) -> bool:
         """Every row of ``vecs`` (on ``sites``) lies in the stabilizer group:
-        M with them appended still has rank N."""
-        return linalg.rank(np.vstack([mat, spread(sites, vecs)]), p) == n_gens
+        M with them appended keeps the group's rank."""
+        return linalg.rank(np.vstack([mat, spread(sites, vecs)]), p) == group_rank
 
     def undetectable(sites, digits):
         """The zero-syndrome error of pair digits ``digits`` on ``sites``, if it
@@ -327,9 +326,8 @@ def compute_distance(
 ) -> int | None:
     """Brute-force code distance, or None when it exceeds d_max.
 
-    For k > 0 the generators must be independent.  Deterministic
-    regardless of how the scan is partitioned: each screened subset is
-    decided by its own kernel.
+    Deterministic regardless of how the scan is partitioned: each
+    screened subset is decided by its own kernel.
     """
     hit = find_min_undetectable(table, d_max, budget)
     return hit[0] if hit else None

@@ -19,7 +19,9 @@ with numpy: addition adds coefficient rows and looks the sum up through
 ``index_of_coeffs``; multiplication is the product mod p for prime fields
 and adds logs mod q-1 for extension fields; negation and inversion are
 read off those tables; the trace sums the coefficient rows of the
-Frobenius images x, x^p, ..., x^(p^(m-1)).
+Frobenius images x, x^p, ..., x^(p^(m-1)); ``gram`` is the trace form
+tr(x*y) on the coefficient basis, the one form through which the rest of
+the package reads the trace-symplectic product.
 
 Pinned field polynomials (coefficients highest degree first), chosen
 once so that element indices and every table built from them are
@@ -28,21 +30,19 @@ reproducible:
     GF(4): x^2 + x + 1     GF(8): x^3 + x + 1     GF(9): x^2 + x + 2
 
 Supported sizes: q <= 64 for prime fields, q <= 9 for extension fields.
-Fields and elements are immutable after construction; all operations
-are pure functions, safe to share across workers.
+Fields are immutable after construction; all operations are pure
+functions of indices, safe to share across workers.
 """
 
 from __future__ import annotations
 
 import functools
 import warnings
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from . import linalg
-from .errors import DomainError, FieldMismatchError
+from .errors import DomainError
 
 MAX_PRIME_Q = 64
 MAX_EXTENSION_Q = 9
@@ -75,11 +75,11 @@ class Field:
     """A prime field Z_p or extension field GF(p^m) with precomputed tables.
 
     Prefer the :func:`GF` factory, which caches instances.  Elements are
-    handled either as plain indices through the integer-level methods
-    (``add``, ``mul``, ...) or wrapped in :class:`FieldElement` for
-    operator syntax.  The numpy tables (``add_table``, ``mul_table``,
-    ``trmul_table``, ``coeff_matrix``, ``coeff_index``, ``gram``) are
-    the kernels the rest of the package vectorizes over.
+    plain integer indices: the scalar methods (``add``, ``mul``, ``pow``,
+    ``trace``, ``coeffs``, ...) take and return them, and the numpy tables
+    (``add_table``, ``mul_table``, ``trmul_table``, ``coeff_matrix``,
+    ``coeff_index``, ``gram``) are the kernels the rest of the package
+    vectorizes over.
     """
 
     def __init__(self, q: int, modulus: Sequence[int] | None = None):
@@ -150,10 +150,10 @@ class Field:
         self.trace_table = tr[:, 0]
         # trace of a product; backs commutation phases and the dense Z action
         self.trmul_table = self.trace_table[self.mul_table]
-        # the element with coefficient vector e_k is alpha**k
-        self.coeff_basis = self.index_of_coeffs(np.eye(m, dtype=np.int64)).tolist()
-        # Gram matrix of the trace form on the coefficient basis {1, alpha, ...}
-        self.gram = self.trmul_table[np.ix_(self.coeff_basis, self.coeff_basis)]
+        # Gram matrix of the trace form on the coefficient basis {1, alpha, ...},
+        # whose element alpha**k has coefficient vector e_k
+        basis = self.index_of_coeffs(np.eye(m, dtype=np.int64))
+        self.gram = self.trmul_table[np.ix_(basis, basis)]
         if m > 1 and self.trace(self.one_index) == 0:
             warnings.warn(
                 f"in GF({q}) the trace of 1 vanishes (p divides m), so single-site "
@@ -162,25 +162,12 @@ class Field:
                 stacklevel=3,
             )
 
-    def _pow_raw(self, i: int, s: int) -> int:
-        i, s = int(i), int(s)
-        if self.m == 1:
-            return pow(i, s, self.p)
-        if s == 0:
-            return self.one_index
-        return 0 if i == 0 else (i - 1) * s % (self.q - 1) + 1
-
-    # -- integer-index operations -------------------------------------------
-
     @property
     def one_index(self) -> int:
         return 1 % self.q
 
     def add(self, i: int, j: int) -> int:
         return int(self.add_table[i, j])
-
-    def sub(self, i: int, j: int) -> int:
-        return int(self.add_table[i, self.neg_table[j]])
 
     def neg(self, i: int) -> int:
         return int(self.neg_table[i])
@@ -194,9 +181,14 @@ class Field:
         return int(self.inv_table[i])
 
     def pow(self, i: int, s: int) -> int:
+        i, s = int(i), int(s)
         if s < 0:
-            return self._pow_raw(self.inv(i), -s)
-        return self._pow_raw(i, s)
+            i, s = self.inv(i), -s
+        if self.m == 1:
+            return pow(i, s, self.p)
+        if s == 0:
+            return self.one_index
+        return 0 if i == 0 else (i - 1) * s % (self.q - 1) + 1
 
     def trace(self, i: int) -> int:
         return int(self.trace_table[i])
@@ -216,64 +208,6 @@ class Field:
             raise DomainError(f"bad coefficient vector {c.tolist()} for {self!r}")
         idx = self.coeff_index[(c % self.p) @ self.p ** np.arange(self.m)]
         return idx if c.ndim > 1 else int(idx)
-
-    # -- element wrappers -----------------------------------------------------
-
-    def element(self, index: int) -> "FieldElement":
-        if not 0 <= index < self.q:
-            raise DomainError(f"element index {index} out of range [0, {self.q})")
-        return FieldElement(self, int(index))
-
-    @property
-    def zero(self) -> "FieldElement":
-        return self.element(0)
-
-    @property
-    def one(self) -> "FieldElement":
-        return self.element(self.one_index)
-
-    @property
-    def alpha(self) -> "FieldElement":
-        return self.element(self.alpha_index)
-
-    def elements(self) -> Iterator["FieldElement"]:
-        for i in range(self.q):
-            yield self.element(i)
-
-    # -- bases ------------------------------------------------------------------
-
-    def dual_basis(self, basis: Sequence["FieldElement | int"]) -> list["FieldElement"]:
-        """The trace-dual basis {b_j} with trace(basis[i] * b_j) = delta_ij."""
-        idx = self._basis_indices(basis)
-        t = self.trmul_table[np.ix_(idx, self.coeff_basis)]
-        try:
-            c = linalg.inv(t, self.p)
-        except DomainError:
-            raise DomainError("input elements are linearly dependent over Z_p") from None
-        # column j of c holds the coefficients of b_j over {alpha**k}
-        return [self.element(i) for i in self.index_of_coeffs(c.T).tolist()]
-
-    def decompose(self, x: "FieldElement | int", basis: Sequence["FieldElement | int"]) -> list[int]:
-        """Coordinates of x over the given Z_p-basis: sum_i out[i]*basis[i] = x,
-        read off the trace-dual basis {b_i} as out[i] = trace(x * b_i)."""
-        dual = self.dual_basis(basis)
-        xi = x.index if isinstance(x, FieldElement) else int(x)
-        return [self.trace_mul(xi, b.index) for b in dual]
-
-    def _basis_indices(self, basis: Sequence["FieldElement | int"]) -> list[int]:
-        if len(basis) != self.m:
-            raise DomainError(f"basis must have {self.m} elements, got {len(basis)}")
-        idx = []
-        for b in basis:
-            if isinstance(b, FieldElement):
-                if b.field != self:
-                    raise FieldMismatchError("basis element from a different field")
-                idx.append(b.index)
-            else:
-                idx.append(int(b))
-        return idx
-
-    # -- identity ------------------------------------------------------------------
 
     def __eq__(self, other) -> bool:
         return (
@@ -304,53 +238,3 @@ def GF(q: int, modulus: Sequence[int] | None = None) -> Field:
     p, m = factor_prime_power(q)
     key = None if m == 1 or modulus is None else tuple(int(c) % p for c in modulus)
     return _cached_field(q, key)
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """A single field element, identified by its index.
-
-    Thin operator sugar over the integer-level :class:`Field` methods;
-    mixed-field arithmetic raises :class:`FieldMismatchError`.
-    """
-
-    field: Field
-    index: int
-
-    def _peer(self, other: "FieldElement") -> int:
-        if not isinstance(other, FieldElement):
-            raise FieldMismatchError(f"expected FieldElement, got {type(other).__name__}")
-        if other.field != self.field:
-            raise FieldMismatchError(f"mixed fields {self.field!r} and {other.field!r}")
-        return other.index
-
-    def __add__(self, other):
-        return FieldElement(self.field, self.field.add(self.index, self._peer(other)))
-
-    def __sub__(self, other):
-        return FieldElement(self.field, self.field.sub(self.index, self._peer(other)))
-
-    def __mul__(self, other):
-        return FieldElement(self.field, self.field.mul(self.index, self._peer(other)))
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.index))
-
-    def __pow__(self, s: int):
-        return FieldElement(self.field, self.field.pow(self.index, s))
-
-    def inv(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.inv(self.index))
-
-    def trace(self) -> int:
-        return self.field.trace(self.index)
-
-    def coeffs(self) -> tuple[int, ...]:
-        return self.field.coeffs(self.index)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.index == 0
-
-    def __repr__(self) -> str:
-        return f"{self.field!r}[{self.index}]"

@@ -1,9 +1,9 @@
 """Dense linear algebra over the prime field Z_p.
 
 Matrices are numpy integer arrays with entries reduced mod p.  These
-routines back independence checks, span comparisons, dual bases and the
-canonicalization row operations; p is always small (<= 61), so plain
-Gaussian elimination is all that is needed.
+routines back independence checks, span comparisons, distance kernels
+and the canonicalization row operations; p is always small (<= 61), so
+plain Gaussian elimination is all that is needed.
 
 Over Z_2 a row is a bit vector.  :func:`pack_bits` stores bit j of a row
 as bit j % 64 of word j // 64 (little-endian ``uint64``), so adding two

@@ -258,9 +258,10 @@ def cost_long_term(code: CodeParams, l_tot: float, ch: ChannelParams) -> tuple[f
     return _minimize_costs([code], l_tot, ch, _per_photon)[code][:2]
 
 
-def _require_finite(cost: float, code: CodeParams, l_tot: float, ch: ChannelParams) -> None:
-    """Refuse a minimized cost that is infinite, naming why: nothing
-    arrives (eta_c = 0), or the rate underflows at every link count."""
+def _require_finite(cost: float, what: str, l_tot: float, ch: ChannelParams) -> None:
+    """Refuse a minimized cost that is infinite, naming ``what`` has it and
+    why: nothing arrives (eta_c = 0), or the rate underflows at every link
+    count."""
     if not math.isfinite(cost):
         if ch.eta_c == 0:
             cause = "nothing arrives (eta_c = 0)"
@@ -270,7 +271,7 @@ def _require_finite(cost: float, code: CodeParams, l_tot: float, ch: ChannelPara
                 "so the minimum cost exceeds about 1.8e308 /km"
             )
         raise DomainError(
-            f"{code.label()} over {l_tot:g} km has no finite cost at any link count: {cause}"
+            f"{what} over {l_tot:g} km has no finite cost at any link count: {cause}"
         )
 
 
@@ -281,7 +282,7 @@ def cost_report(code: CodeParams, l_tot: float, ch: ChannelParams) -> CostReport
     arrives, e.g. eta_c = 0, or the rate underflows).
     """
     c_st, plan, throughput = _minimize_costs([code], l_tot, ch, _hardware)[code]
-    _require_finite(c_st, code, l_tot, ch)
+    _require_finite(c_st, code.label(), l_tot, ch)
     c_lt = float(_per_photon(code) / throughput)
     ps = p_success(code, loss_probability(plan.l0, ch))
     return CostReport(code, l_tot, ps, rate(code, plan, ch), c_st, c_lt, plan)
@@ -299,13 +300,21 @@ def _optimal_ks(
     families: dict[tuple[int, int], list[CodeParams]], l_tot: float, ch: ChannelParams
 ) -> dict[tuple[int, int], int]:
     """Per AME(n,q) child family, the k minimizing C_LT at one distance
-    (ties pick smaller k), all families in one optimizer call."""
+    (ties pick smaller k), all families in one optimizer call.  A family of
+    two or more children none of which has a finite cost has no minimum to
+    pick, and raises DomainError."""
     for (n, q), kids in families.items():
         if not kids:
             raise DomainError(f"AME({n},{q}) has no children with distance >= 2")
     codes = [code for kids in families.values() for code in kids]
     costs = _minimize_costs(codes, l_tot, ch, _per_photon)
-    return {cell: min(kids, key=lambda c: costs[c][0]).k for cell, kids in families.items()}
+    out = {}
+    for (n, q), kids in families.items():
+        best = min(kids, key=lambda c: costs[c][0])
+        if len(kids) > 1:
+            _require_finite(costs[best][0], f"every child of AME({n},{q})", l_tot, ch)
+        out[(n, q)] = best.k
+    return out
 
 
 def optimal_k(n: int, q: int, l_tot: float, ch: ChannelParams) -> int:
@@ -361,7 +370,7 @@ def figure_rows(
         links = fixed_link_count(l_tot, rate_l0, "--ltots")
         for code in codes:
             c_st, plan, _ = costs[code]
-            _require_finite(c_st, code, l_tot, ch)
+            _require_finite(c_st, code.label(), l_tot, ch)
             # fixed-L0 mode uses exactly L0 = rate_l0 over l_tot/rate_l0 links
             r_fixed = rate(code, LinkPlan(links * rate_l0, links), ch)
             rows.append(

@@ -9,10 +9,12 @@
     ...
 
 ``#`` starts a comment anywhere on a line; tokens are whitespace
-separated.  Generators must be labelled g1..gN in order, and N must be
-the expected generator count m*(n-k); anything else is rejected with a
-message naming the expectation.  Emission is canonical, so files written
-by :func:`emit` parse back byte-identically.
+separated.  The code line takes each of n, q, k and d at most once, and
+no other attribute; k lies in [0, n].  Generators must be labelled
+g1..gN in order, and N must be the expected generator count m*(n-k);
+anything else is rejected with a message naming the expectation.
+Emission is canonical, so files written by :func:`emit` parse back
+byte-identically.
 """
 
 from __future__ import annotations
@@ -48,11 +50,19 @@ def parse(text: str, filename: str | None = None) -> GeneratorTable:
                 kv = _KV_RE.match(part)
                 if not kv:
                     raise ParseError(f"bad code attribute {part!r}", filename, lineno)
-                fields[kv.group(1)] = int(kv.group(2))
+                key = kv.group(1)
+                if key not in ("n", "q", "k", "d"):
+                    raise ParseError(f"unknown code attribute {key!r}; expected n, q, k or d",
+                                     filename, lineno)
+                if key in fields:
+                    raise ParseError(f"repeated code attribute {key!r}", filename, lineno)
+                fields[key] = int(kv.group(2))
             if "n" not in fields or "q" not in fields:
                 raise ParseError("code line needs at least n= and q=", filename, lineno)
             n, q = fields["n"], fields["q"]
             k, d = fields.get("k"), fields.get("d")
+            if k is not None and k > n:
+                raise ParseError(f"k={k} lies outside [0, n] for n={n}", filename, lineno)
             continue
         if line.startswith("modulus:"):
             if modulus is not None:

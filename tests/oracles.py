@@ -141,20 +141,6 @@ def exhaustive_inverse(x, q):
     raise AssertionError(f"no inverse for {x} mod {q}")
 
 
-def exhaustive_dual_basis(field, basis_idx):
-    """All m-tuples scanned for trace-orthonormality against the basis."""
-    m = field.m
-    hits = []
-    for cand in itertools.product(range(field.q), repeat=m):
-        if all(
-            field.trace_mul(bi, cj) == (1 if i == j else 0)
-            for i, bi in enumerate(basis_idx)
-            for j, cj in enumerate(cand)
-        ):
-            hits.append(cand)
-    return hits
-
-
 def projective_group(table):
     """All products of generator powers as a set of phase-free site tuples."""
     p = table.field.p

@@ -197,6 +197,19 @@ def test_underflowed_rate_names_its_cause(capsys):
         assert f"[[8,6,2]]_7 over 10000 km {cause}" in err
 
 
+def test_table_refuses_a_cell_whose_every_child_has_no_finite_cost(capsys):
+    # no child of AME(6,2) has a finite C_LT there, so no k is the least
+    for etac, ltot, cause in [
+        ("0.5", "10000", "the rate underflows double precision at every link count, "
+                         "so the minimum cost exceeds about 1.8e308 /km"),
+        ("0", "1000", "nothing arrives (eta_c = 0)"),
+    ]:
+        code, out, err = run(capsys, "table", "--etac", etac)
+        assert (code, out) == (2, "")
+        assert err == (f"error: every child of AME(6,2) over {ltot} km has no finite cost "
+                       f"at any link count: {cause}\n")
+
+
 def test_beyond_link_grid_bound_exit_2(capsys):
     # inf used to escape as an OverflowError traceback
     code_flags = ["--n", "5", "--k", "1", "--d", "3", "--q", "2"]

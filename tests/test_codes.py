@@ -90,6 +90,13 @@ def test_stabtab_errors_carry_line_numbers():
         stabtab.parse("code n=2 q=2\ng2: z1 z1\ng1: x1 x1\n")
     with pytest.raises(ParseError, match="bad site token"):
         stabtab.parse("code n=2 q=2\ng1: z1 y1\ng2: x1 x1\n")
+    for code_line, message in [
+        ("code n=2 q=2 foo=1", "unknown code attribute 'foo'; expected n, q, k or d"),
+        ("code n=2 q=2 k=0 d=2 d=3", "repeated code attribute 'd'"),
+        ("code n=2 q=2 k=3", r"k=3 lies outside \[0, n\] for n=2"),
+    ]:
+        with pytest.raises(ParseError, match=f"^bad.stabtab:2: {message}$"):
+            stabtab.parse(f"# stabtab v1\n{code_line}\ng1: z1 z1\ng2: x1 x1\n", "bad.stabtab")
 
 
 def test_generator_count_rules():

@@ -101,6 +101,11 @@ AME_4_9 = graph_state(GF(9), [[0, 7, 3, 4], [7, 0, 3, 7], [3, 3, 0, 1], [4, 7, 1
 BELL_AND_4_2_2 = stabtab.parse("code n=6 q=2 k=2\ng1: z1 z1 i i i i\ng2: x1 x1 i i i i\n"
                                "g3: i i z1 z1 z1 z1\ng4: i i x1 x1 x1 x1\n")
 
+# a dependent k = 1 table, g3 = g1 g2 up to phase: the group has rank 2, not
+# the generator count 3, so z1 z1 i i is a logical and z1 z1 z1 z1 is not
+DEPENDENT_4_1 = stabtab.parse("code n=4 q=2 k=1\ng1: x1 x1 x1 x1\ng2: z1 z1 z1 z1\n"
+                              "g3: x1z1 x1z1 x1z1 x1z1\n")
+
 
 def assert_scan_matches_the_exhaustive_route(table):
     w, sites = first_undetectable(table, table.n)
@@ -117,6 +122,7 @@ def assert_scan_matches_the_exhaustive_route(table):
 @given(scrambled_codes())
 @example(AME_4_9)
 @example(BELL_AND_4_2_2)
+@example(DEPENDENT_4_1)
 def test_scan_matches_the_exhaustive_route_at_any_block_size(table):
     assert_scan_matches_the_exhaustive_route(table)
 

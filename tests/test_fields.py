@@ -5,11 +5,10 @@ import warnings
 import numpy as np
 import pytest
 
-from amecodes.errors import DomainError, FieldMismatchError
+from amecodes.errors import DomainError
 from amecodes.fields import GF, Field, factor_prime_power
 
 from oracles import (
-    exhaustive_dual_basis,
     exhaustive_inverse,
     is_primitive_modulus,
     poly_add,
@@ -193,60 +192,6 @@ def test_trace_linear_and_nondegenerate(field):
             assert lhs == (c * field.trace(x) + field.trace(y)) % p
     for x in range(1, field.q):
         assert any(field.trace_mul(x, y) for y in range(field.q)), "degenerate trace"
-
-
-def test_dual_basis_prime_field():
-    f = GF(5)
-    assert [b.index for b in f.dual_basis([f.one])] == [1]
-
-
-def test_dual_basis_gf4_matches_exhaustive_search():
-    f = GF(4)
-    basis = [f.one, f.alpha]
-    out = f.dual_basis(basis)
-    table = exhaustive_dual_basis(f, [b.index for b in basis])
-    assert len(table) == 1  # the dual basis is unique
-    assert tuple(b.index for b in out) == table[0]
-    for i, bi in enumerate(basis):
-        for j, bj in enumerate(out):
-            assert (bi * bj).trace() == (1 if i == j else 0)
-
-
-def test_dual_basis_gf9_and_dependence_error():
-    f = GF(9)
-    out = f.dual_basis([f.one, f.alpha])
-    for i, bi in enumerate([f.one, f.alpha]):
-        for j, bj in enumerate(out):
-            assert (bi * bj).trace() == (1 if i == j else 0)
-    with pytest.raises(DomainError):
-        f.dual_basis([f.one, f.element(5)])  # 2 = 2*1: dependent over Z_3
-
-
-def test_decompose():
-    f9 = GF(9)
-    basis = [f9.one, f9.alpha]
-    assert f9.decompose(f9.one, basis) == [1, 0]
-    assert f9.decompose(f9.zero, basis) == [0, 0]
-    # alpha^2 = 1 + 2*alpha under the pinned modulus
-    assert f9.decompose(f9.element(3), basis) == [1, 2]
-    for x in f9.elements():
-        coords = f9.decompose(x, basis)
-        acc = f9.zero
-        for c, b in zip(coords, basis):
-            acc = acc + f9.element(f9.index_of_coeffs([c, 0])) * b
-        assert acc == x
-
-
-def test_element_operators_and_mismatch():
-    f4, f9 = GF(4), GF(9)
-    a = f9.alpha
-    assert (a + (-a)).is_zero
-    assert (a * a.inv()).index == f9.one_index
-    assert (a**8).index == f9.one_index
-    with pytest.raises(FieldMismatchError):
-        a + f4.one
-    with pytest.raises(DomainError):
-        f9.element(9)
 
 
 def test_field_identity_and_caching():

@@ -290,12 +290,27 @@ def reference_costs(code, l_tot, ch):
 
 
 def reference_optimal_k(kids, costs):
+    """The k of the first child of least C_LT, or "refuse" when two or more
+    children all have an infinite C_LT, so that no comparison picks one."""
     best_k, best_c = None, None
     for code in kids:
         c = costs[code][1][0]
         if best_c is None or c < best_c:
             best_k, best_c = code.k, c
-    return best_k
+    return "refuse" if len(kids) > 1 and best_c == math.inf else best_k
+
+
+def refusal(cell, l_tot):
+    n, q = cell
+    return re.escape(f"every child of AME({n},{q}) over {l_tot:g} km has no finite cost")
+
+
+def assert_optimal_k(cell, l_tot, ch, want):
+    if want == "refuse":
+        with pytest.raises(DomainError, match=refusal(cell, l_tot)):
+            optimal_k(*cell, l_tot, ch)
+    else:
+        assert optimal_k(*cell, l_tot, ch) == want
 
 
 @settings(max_examples=15, deadline=None)
@@ -317,11 +332,20 @@ def test_optimizer_matches_one_full_curve_per_code(ch, distances, cells, pick):
 
     want = {(n, q): {"not-exists": ["-"], "unknown": ["?"]}[e] * len(distances)
             for n, q, e in cells if e != "exists"}
-    for cell, family in families.items():
-        ks = [reference_optimal_k(family, col) for col in costs]
-        assert [optimal_k(*cell, l_tot, ch) for l_tot in distances] == ks
-        want[cell] = [str(k) for k in ks]
-    assert optimal_k_table(cells, distances, ch) == want
+    ks = {cell: [reference_optimal_k(family, col) for col in costs]
+          for cell, family in families.items()}
+    for cell, cell_ks in ks.items():
+        for l_tot, k in zip(distances, cell_ks):
+            assert_optimal_k(cell, l_tot, ch, k)
+        want[cell] = [str(k) for k in cell_ks]
+    # the table refuses the first such cell by distance, then by cell as given
+    refused = [refusal((n, q), l_tot) for i, l_tot in enumerate(distances)
+               for n, q, e in cells if e == "exists" and ks[(n, q)][i] == "refuse"]
+    if refused:
+        with pytest.raises(DomainError, match=refused[0]):
+            optimal_k_table(cells, distances, ch)
+    else:
+        assert optimal_k_table(cells, distances, ch) == want
 
     if kids:
         code = kids[pick % len(kids)]
@@ -382,7 +406,7 @@ def test_screen_edge_paths_match_the_full_grid(cells, l_tot, ch):
     kids = [code for family in families.values() for code in family]
     costs = {code: reference_costs(code, l_tot, ch) for code in kids}
     for cell, family in families.items():
-        assert optimal_k(*cell, l_tot, ch) == reference_optimal_k(family, costs)
+        assert_optimal_k(cell, l_tot, ch, reference_optimal_k(family, costs))
     rows, first_inf = [], None
     for code in kids:
         (c_st, r_st, throughput), (c_lt, r_lt, _) = costs[code]
