@@ -14,11 +14,11 @@ from .codes import (CodeParams, GeneratorTable, check_commutation,
                     check_independence, classify_singleton, compute_distance,
                     is_ame, subsystem_entropy)
 from .errors import (AmecodesError, DomainError, FieldMismatchError, ParseError,
-                     PhaseConsistencyError, ReductionError, ResourceBudgetError)
+                     ReductionError, ResourceBudgetError)
 from .fields import GF, Field
 from .oracle import (CodewordSet, ame_projection_codewords, dense_distance,
                      expand_stabilizer, knill_laflamme_check, reduced_entropy)
-from .pauli import PauliString, StateVector, apply, enumerate_errors
+from .pauli import PauliString, StateVector, enumerate_errors
 from .reduction import (ReductionFriendlyForm, child_code, derive_family,
                         find_pivot_rows, to_reduction_friendly)
 from .repeater import (ChannelParams, CostReport, LinkPlan, cost_long_term,
@@ -29,7 +29,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "GF", "Field",
-    "PauliString", "StateVector", "apply", "enumerate_errors",
+    "PauliString", "StateVector", "enumerate_errors",
     "CodeParams", "GeneratorTable", "check_commutation", "check_independence",
     "classify_singleton", "compute_distance", "is_ame", "subsystem_entropy",
     "ReductionFriendlyForm", "to_reduction_friendly", "child_code",
@@ -40,6 +40,6 @@ __all__ = [
     "rate", "cost_short_term", "cost_long_term", "cost_report", "optimal_k",
     "optimal_k_table",
     "AmecodesError", "DomainError", "FieldMismatchError", "ParseError",
-    "PhaseConsistencyError", "ReductionError", "ResourceBudgetError",
+    "ReductionError", "ResourceBudgetError",
     "__version__",
 ]

@@ -32,7 +32,7 @@ from . import catalog as cat
 from . import stabtab
 from .codes import (DEFAULT_DISTANCE_BUDGET, CodeParams, check_commutation,
                     check_independence, classify_singleton, compute_distance)
-from .errors import AmecodesError, DomainError, ParseError, PhaseConsistencyError, ResourceBudgetError
+from .errors import AmecodesError, DomainError, ParseError, ResourceBudgetError
 from .fields import GF
 from .oracle import (CodewordSet, dense_distance, expand_stabilizer,
                      knill_laflamme_check, reduced_entropy)
@@ -401,9 +401,6 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return BUDGET_ERROR
-    except PhaseConsistencyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return FAIL
     except (AmecodesError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

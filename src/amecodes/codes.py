@@ -195,9 +195,8 @@ def check_independence(table: GeneratorTable) -> np.ndarray | None:
     p = table.field.p
     if linalg.rank(mat, p) == len(table.gens):
         return None
-    kernel = linalg.nullspace(mat.T, p)
-    # nullspace of the transpose gives left-kernel rows, i.e. row combinations
-    return kernel[0] if len(kernel) else None
+    # left-kernel rows, i.e. row combinations; rank < N leaves one
+    return linalg.nullspace(mat.T, p)[0]
 
 
 def require_stabilizer(table: GeneratorTable) -> None:

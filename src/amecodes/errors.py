@@ -32,9 +32,5 @@ class ReductionError(DomainError):
     """Canonicalization cannot proceed (e.g. no independent pivot on a site)."""
 
 
-class PhaseConsistencyError(AmecodesError):
-    """A generator set whose joint +1 eigenspace is empty."""
-
-
 class ResourceBudgetError(AmecodesError):
     """Requested computation exceeds the configured budget."""

@@ -25,10 +25,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import DomainError, FieldMismatchError, ResourceBudgetError
+from .errors import DomainError, FieldMismatchError
 from .fields import Field
-
-APPLY_DIM_LIMIT = 2**20
 
 _TOKEN_RE = re.compile(r"^(?:i|(?=[xz])(?:x(\d+))?(?:z(\d+))?)$")
 
@@ -121,9 +119,9 @@ class PauliString:
         return s % f.p
 
     @classmethod
-    def from_symplectic(cls, field: Field, vec: Sequence[int], n: int, phase_exp: int = 0) -> "PauliString":
-        """The string with Z_p coefficient vector ``vec``, per-site blocks [x | z]."""
-        return cls(field, sites_from_matrix(field, vec, n)[0], phase_exp)
+    def from_symplectic(cls, field: Field, vec: Sequence[int], n: int) -> "PauliString":
+        """The phase-free string with Z_p coefficients ``vec``, per-site blocks [x | z]."""
+        return cls(field, sites_from_matrix(field, vec, n)[0])
 
     # -- text form ---------------------------------------------------------------
 
@@ -200,7 +198,6 @@ class StateVector:
     field: Field
     n: int
     amplitudes: np.ndarray
-    normalized: bool = True
 
     def __post_init__(self):
         amps = np.array(self.amplitudes, dtype=np.complex128)
@@ -210,46 +207,23 @@ class StateVector:
             raise DomainError(
                 f"state needs q**n = {self.field.q**self.n} amplitudes, got {amps.shape}"
             )
-        if self.normalized and abs(np.linalg.norm(amps) - 1.0) > 1e-10:
-            raise DomainError("state flagged normalized but has |norm - 1| > 1e-10")
+        if abs(np.linalg.norm(amps) - 1.0) > 1e-10:
+            raise DomainError("state is not normalized: |norm - 1| > 1e-10")
 
     def inner(self, other: "StateVector") -> complex:
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
 
-def dense_action(op: PauliString, hermitian_lift: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Permutation and per-source phase factor of the operator.
-
-    Returns (perm, factor) with (U v)[perm[j]] = factor[j] * v[j].
-    With ``hermitian_lift`` (p = 2 only) an extra i**tr(a*b) per site
-    makes the operator order-2, which the eigenspace projector needs.
+def dense_action(op: PauliString) -> tuple[np.ndarray, np.ndarray]:
+    """The exact dense action, global phase included: (perm, factor) with
+    (U v)[perm[j]] = factor[j] * v[j], arrays of length q**n that the caller bounds.
     """
     f = op.field
-    q, n, p = f.q, op.n, f.p
-    dim = q**n
-    if dim > APPLY_DIM_LIMIT:
-        raise ResourceBudgetError(f"dense action needs {dim} amplitudes (> {APPLY_DIM_LIMIT})")
     # one site at a time, site 0 ending up the most significant digit
     perm = np.zeros(1, dtype=np.int64)
     phase = np.zeros(1, dtype=np.int64)
     for a, b in op.sites:
-        perm = np.add.outer(perm * q, f.add_table[a]).ravel()
+        perm = np.add.outer(perm * f.q, f.add_table[a]).ravel()
         phase = np.add.outer(phase, f.trmul_table[b]).ravel()
-    omega = np.exp(2j * np.pi / p)
-    factor = omega ** (phase % p) * omega**op.phase_exp
-    if hermitian_lift:
-        if p == 2:
-            y = sum(f.trace_mul(a, b) for a, b in op.sites)
-            factor = factor * (1j) ** y
-        # odd p: X_a Z_b already has order p, nothing to lift
-    return perm, factor
-
-
-def apply(op: PauliString, state: StateVector) -> StateVector:
-    """Exact dense action of the operator, global phase included."""
-    if op.field != state.field or op.n != state.n:
-        raise FieldMismatchError("operator and state shapes differ")
-    perm, factor = dense_action(op)
-    out = np.zeros_like(state.amplitudes)
-    out[perm] = factor * state.amplitudes
-    return StateVector(state.field, state.n, out, normalized=state.normalized)
+    omega = np.exp(2j * np.pi / f.p)
+    return perm, omega ** (phase % f.p) * omega**op.phase_exp

@@ -43,21 +43,18 @@ class ChannelParams:
     """Channel and station constants.
 
     l_att: fiber attenuation length in km.  eta_c: in-and-out coupling
-    efficiency.  t0: local operation time in arbitrary units; rates are
-    reported as R*t0, and both cost factors are t0-free.
+    efficiency.  The local operation time t0 is only the unit of rates,
+    which are reported as R*t0; both cost factors are t0-free.
     """
 
     l_att: float = 20.0
     eta_c: float = 1.0
-    t0: float = 1.0
 
     def __post_init__(self):
         if not 0 < self.l_att < math.inf:
             raise DomainError(f"l_att must be positive and finite, got {self.l_att}")
         if not 0.0 <= self.eta_c <= 1.0:
             raise DomainError(f"eta_c must lie in [0,1], got {self.eta_c}")
-        if not 0 < self.t0 < math.inf:
-            raise DomainError(f"t0 must be positive and finite, got {self.t0}")
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ import re
 from pathlib import Path
 
 from .codes import CodeParams, GeneratorTable
-from .errors import ParseError
+from .errors import DomainError, ParseError
 from .fields import GF, factor_prime_power
 from .pauli import PauliString
 
@@ -34,8 +34,7 @@ _GEN_RE = re.compile(r"^g(\d+):\s*(.*)$")
 
 def parse(text: str, filename: str | None = None) -> GeneratorTable:
     """Parse stabtab source text into a verified-shape GeneratorTable."""
-    n = q = k = d = None
-    modulus = None
+    n = q = k = d = modulus = code_line = modulus_line = None
     gen_rows: list[tuple[int, list[str], int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -61,6 +60,7 @@ def parse(text: str, filename: str | None = None) -> GeneratorTable:
                 raise ParseError("code line needs at least n= and q=", filename, lineno)
             n, q = fields["n"], fields["q"]
             k, d = fields.get("k"), fields.get("d")
+            code_line = lineno
             if k is not None and k > n:
                 raise ParseError(f"k={k} lies outside [0, n] for n={n}", filename, lineno)
             continue
@@ -71,6 +71,7 @@ def parse(text: str, filename: str | None = None) -> GeneratorTable:
                 modulus = [int(c) for c in line[len("modulus:"):].split(",")]
             except ValueError:
                 raise ParseError("modulus must be a comma list of integers", filename, lineno)
+            modulus_line = lineno
             continue
         m = _GEN_RE.match(line)
         if m:
@@ -80,13 +81,17 @@ def parse(text: str, filename: str | None = None) -> GeneratorTable:
 
     if n is None:
         raise ParseError("missing code line", filename, None)
-    _, field_m = factor_prime_power(q)
-    if field_m > 1 and modulus is None:
-        raise ParseError(f"q={q} is a proper prime power; a modulus line is required",
-                         filename, None)
-    if field_m == 1 and modulus is not None:
-        raise ParseError(f"q={q} is prime; modulus line not allowed", filename, None)
-    field = GF(q, modulus)
+    line = code_line
+    try:
+        _, field_m = factor_prime_power(q)
+        if field_m > 1 and modulus is None:
+            raise DomainError(f"q={q} is a proper prime power; a modulus line is required")
+        line = modulus_line or code_line
+        if field_m == 1 and modulus is not None:
+            raise DomainError(f"q={q} is prime; modulus line not allowed")
+        field = GF(q, modulus)
+    except DomainError as exc:
+        raise ParseError(str(exc), filename, line) from None
 
     for want, (label, _, lineno) in enumerate(gen_rows, start=1):
         if label != want:
@@ -97,12 +102,12 @@ def parse(text: str, filename: str | None = None) -> GeneratorTable:
         if len(gen_rows) != expect:
             raise ParseError(
                 f"[[{n},{k},?]]_{q} expects {expect} generators, found {len(gen_rows)}",
-                filename, gen_rows[-1][2] if gen_rows else None)
+                filename, gen_rows[-1][2] if gen_rows else code_line)
     else:
         if len(gen_rows) % field_m or not 0 < len(gen_rows) <= field_m * n:
             raise ParseError(
                 f"generator count {len(gen_rows)} is not m*(n-k) for q={q}, n={n}",
-                filename, gen_rows[-1][2] if gen_rows else None)
+                filename, gen_rows[-1][2] if gen_rows else code_line)
         k = n - len(gen_rows) // field_m
 
     gens = []
@@ -115,7 +120,10 @@ def parse(text: str, filename: str | None = None) -> GeneratorTable:
         except Exception as exc:
             raise ParseError(str(exc), filename, lineno) from None
 
-    claimed = CodeParams(n, k, d, q) if d is not None else None
+    try:
+        claimed = CodeParams(n, k, d, q) if d is not None else None
+    except DomainError as exc:
+        raise ParseError(str(exc), filename, code_line) from None
     return GeneratorTable(field, n, tuple(gens), claimed)
 
 

@@ -1,3 +1,4 @@
+import fnmatch
 import importlib.util
 from pathlib import Path
 
@@ -115,3 +116,16 @@ def test_make_catalog_rewrites_the_shipped_files(tmp_path):
     assert written == shipped
     for name in written:
         assert (tmp_path / name).read_bytes() == (catalog_dir() / name).read_bytes(), name
+
+
+def test_package_data_covers_every_catalog_file():
+    # an installed amecodes ships only the catalog files that pyproject.toml's
+    # [tool.setuptools.package-data] names
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    globs = tomllib.loads(pyproject.read_text())["tool"]["setuptools"]["package-data"]["amecodes"]
+    files = [f for f in catalog_dir().iterdir() if f.is_file() and f.suffix != ".py"]
+    assert files
+    for f in files:
+        name = f"{catalog_dir().name}/{f.name}"
+        assert any(fnmatch.fnmatch(name, g) for g in globs), name

@@ -90,13 +90,23 @@ def test_stabtab_errors_carry_line_numbers():
         stabtab.parse("code n=2 q=2\ng2: z1 z1\ng1: x1 x1\n")
     with pytest.raises(ParseError, match="bad site token"):
         stabtab.parse("code n=2 q=2\ng1: z1 y1\ng2: x1 x1\n")
-    for code_line, message in [
-        ("code n=2 q=2 foo=1", "unknown code attribute 'foo'; expected n, q, k or d"),
-        ("code n=2 q=2 k=0 d=2 d=3", "repeated code attribute 'd'"),
-        ("code n=2 q=2 k=3", r"k=3 lies outside \[0, n\] for n=2"),
+    for code_line, line, message in [
+        ("code n=2 q=2 foo=1", 2, "unknown code attribute 'foo'; expected n, q, k or d"),
+        ("code n=2 q=2 k=0 d=2 d=3", 2, "repeated code attribute 'd'"),
+        ("code n=2 q=2 k=3", 2, r"k=3 lies outside \[0, n\] for n=2"),
+        ("code n=2 q=2 k=0 d=0", 2, "d must be >= 1, got 0"),
+        ("code n=2 q=6 k=0 d=2", 2, "6 is not a prime power"),
+        ("code n=2 q=2 k=0 d=9", 2,
+         r"\[\[2,0,9\]\]_2 violates the quantum Singleton bound n-k >= 2\(d-1\)"),
+        ("code n=2 q=4 k=0 d=2\nmodulus: 1,0,1", 3,
+         r"modulus \(1, 0, 1\) is reducible over Z_2 .*"),
+        ("code n=2 q=4 k=0", 2, "q=4 is a proper prime power; a modulus line is required"),
+        ("code n=2 q=3 k=0\nmodulus: 1,0,1", 3, "q=3 is prime; modulus line not allowed"),
     ]:
-        with pytest.raises(ParseError, match=f"^bad.stabtab:2: {message}$"):
+        with pytest.raises(ParseError, match=f"^bad.stabtab:{line}: {message}$"):
             stabtab.parse(f"# stabtab v1\n{code_line}\ng1: z1 z1\ng2: x1 x1\n", "bad.stabtab")
+    with pytest.raises(ParseError, match="^bad.stabtab:2: generator count 0 is not m"):
+        stabtab.parse("# stabtab v1\ncode n=0 q=2\n", "bad.stabtab")
 
 
 def test_generator_count_rules():

@@ -1,6 +1,6 @@
 """Property tests: ``pauli.dense_action`` against the Kronecker-built
 matrices of ``tests/oracles.dense_pauli``, phases included, and the
-order-p Hermitian lift the eigenspace projector relies on.
+oracle's order-p Hermitian lift that its eigenspace projector relies on.
 
 Covers every field family the package ships (prime fields and GF(4),
 GF(8), GF(9)) at every dimension the dense oracle accepts, q^n <= 4096.
@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amecodes.fields import GF
-from amecodes.oracle import DENSE_BUDGET
+from amecodes.oracle import DENSE_BUDGET, _lifted_action
 from amecodes.pauli import PauliString, dense_action
 from oracles import dense_pauli
 
@@ -65,7 +65,7 @@ def test_dense_action_is_the_kronecker_matrix(op):
 @SETTINGS
 @given(operators())
 def test_lifted_action_has_order_p(op):
-    perm, factor = dense_action(op, hermitian_lift=True)
+    perm, factor = _lifted_action(op)
     vec = np.random.default_rng(0).standard_normal(len(perm)) + 0j
     cur = vec
     for _ in range(op.field.p):
@@ -78,6 +78,6 @@ def test_lifted_action_has_order_p(op):
 def test_lifted_action_is_hermitian_for_p_2(op):
     # U[perm[j], j] = factor[j]; U = U^dagger iff perm is an involution and
     # the entry mirrored across the diagonal is the conjugate
-    perm, factor = dense_action(op, hermitian_lift=True)
+    perm, factor = _lifted_action(op)
     assert np.array_equal(perm[perm], np.arange(len(perm)))
     assert np.allclose(factor[perm], factor.conj(), atol=1e-12)

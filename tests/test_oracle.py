@@ -1,12 +1,15 @@
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from amecodes import oracle, stabtab
+from amecodes import catalog, linalg, oracle, stabtab
 from amecodes.codes import GeneratorTable, compute_distance
-from amecodes.errors import DomainError, PhaseConsistencyError, ResourceBudgetError
+from amecodes.errors import DomainError, ResourceBudgetError
 from amecodes.fields import GF
 from amecodes.oracle import (CodewordSet, ame_projection_codewords, dense_distance,
                              expand_stabilizer, knill_laflamme_check, reduced_entropy)
@@ -79,16 +82,45 @@ def test_expand_child_code_spans_projection_codewords():
 
 
 def test_expand_rejects_inconsistent_phases():
-    # -ZZ and XX stabilize nothing together with +ZZ's partner sign flipped:
-    # g1 = ZZ with phase 1 (i.e. -ZZ), g2 = XX; the joint +1 eigenspace of
-    # {-ZZ, XX} is the odd-parity Bell pair, so this SUCCEEDS; instead use
-    # {ZZ, -ZZ} dependence... dependence is rejected earlier, so force a
-    # genuinely empty eigenspace with {-II}
+    # {-II} has an empty +1 eigenspace, but its one generator is the zero
+    # vector, so require_stabilizer refuses it as dependent before any
+    # projection; independent commuting generators always leave q**k words
     f2 = GF(2)
     minus_identity = PauliString(f2, ((0, 0), (0, 0)), phase_exp=1)
     t = GeneratorTable(f2, 2, (minus_identity,))
-    with pytest.raises((PhaseConsistencyError, DomainError)):
+    with pytest.raises(DomainError, match="dependent"):
         expand_stabilizer(t)
+
+
+DENSE_TABLES = [catalog.load_table(e.id) for e in catalog.load_catalog()
+                if e.file and e.params.q**e.params.n <= oracle.DENSE_BUDGET]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(DENSE_TABLES), st.integers(0, 2**32 - 1))
+def test_any_signs_give_a_q_to_the_k_code_space(table, seed):
+    # commuting, independent generators of order p have a q**k-dimensional
+    # joint +1 eigenspace whatever their phases, so expand_stabilizer needs
+    # no empty-eigenspace error; checked on a random invertible row mix with
+    # a random phase per generator
+    rng = random.Random(seed)
+    f, rows = table.field, len(table.gens)
+    p = f.p
+    while True:
+        c = np.array([[rng.randrange(p) for _ in range(rows)] for _ in range(rows)])
+        if linalg.rank(c, p) == rows:
+            break
+    mixed = GeneratorTable.from_matrix(f, table.n, (c @ table.symplectic_matrix()) % p)
+    signed = GeneratorTable(f, table.n, tuple(
+        PauliString(f, g.sites, rng.randrange(p)) for g in mixed.gens))
+    cw = expand_stabilizer(signed)
+    assert cw.K == f.q**table.k
+    for g in signed.gens:
+        perm, factor = oracle._lifted_action(g)
+        for w in cw.words:
+            image = np.zeros_like(w.amplitudes)
+            image[perm] = factor * w.amplitudes
+            assert np.allclose(image, w.amplitudes, atol=1e-10)
 
 
 def test_expand_budget():

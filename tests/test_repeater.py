@@ -115,18 +115,6 @@ def test_cost_ratio_identity_random_configs():
         assert lt / st == pytest.approx(q / math.log2(q), rel=1e-12)
 
 
-def test_argmin_invariance_under_t0_scaling():
-    code = CodeParams(10, 2, 5, 3)
-    for t0 in (0.5, 1.0, 7.3):
-        ch = ChannelParams(t0=t0)
-        st, plan = cost_short_term(code, 1000.0, ch)
-        st_ref, plan_ref = cost_short_term(code, 1000.0, CH)
-        assert plan == plan_ref
-        assert st == pytest.approx(st_ref)  # costs divide out t0 entirely
-    ks = [optimal_k(10, 3, 1000.0, ChannelParams(t0=t0)) for t0 in (0.1, 1.0, 10.0)]
-    assert len(set(ks)) == 1
-
-
 def test_long_term_prefactor_minimized_at_q_three():
     # q / log2(q) over integers >= 2 dips at q = 3 and climbs after
     vals = {q: q / math.log2(q) for q in range(2, 12)}
@@ -226,7 +214,7 @@ def test_figure_rows_refuses_a_nonpositive_link_length():
 
 
 def test_non_finite_channel_and_distance_refused():
-    for kwargs in ({"l_att": math.nan}, {"l_att": math.inf}, {"t0": math.nan}, {"t0": math.inf}):
+    for kwargs in ({"l_att": math.nan}, {"l_att": math.inf}):
         with pytest.raises(DomainError, match="positive and finite"):
             ChannelParams(**kwargs)
     with pytest.raises(DomainError, match="total distance must be positive, got nan"):
