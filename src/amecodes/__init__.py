@@ -13,17 +13,16 @@ oracle for small instances (:mod:`.oracle`), the repeater cost model
 from .codes import (CodeParams, GeneratorTable, check_commutation,
                     check_independence, classify_singleton, compute_distance,
                     is_ame, subsystem_entropy)
-from .errors import (AmecodesError, DomainError, FieldMismatchError, ParseError,
-                     ReductionError, ResourceBudgetError)
+from .errors import (AmecodesError, DomainError, ParseError, ReductionError,
+                     ResourceBudgetError)
 from .fields import GF, Field
 from .oracle import (CodewordSet, ame_projection_codewords, dense_distance,
                      expand_stabilizer, knill_laflamme_check, reduced_entropy)
 from .pauli import PauliString, StateVector, enumerate_errors
 from .reduction import (ReductionFriendlyForm, child_code, derive_family,
-                        find_pivot_rows, to_reduction_friendly)
-from .repeater import (ChannelParams, CostReport, LinkPlan, cost_long_term,
-                       cost_report, cost_short_term, loss_probability,
-                       optimal_k, optimal_k_table, p_success, rate)
+                        to_reduction_friendly)
+from .repeater import (ChannelParams, CostReport, LinkPlan, cost_report,
+                       loss_probability, optimal_k_table, p_success, rate)
 
 __version__ = "0.1.0"
 
@@ -33,13 +32,12 @@ __all__ = [
     "CodeParams", "GeneratorTable", "check_commutation", "check_independence",
     "classify_singleton", "compute_distance", "is_ame", "subsystem_entropy",
     "ReductionFriendlyForm", "to_reduction_friendly", "child_code",
-    "derive_family", "find_pivot_rows",
+    "derive_family",
     "CodewordSet", "expand_stabilizer", "ame_projection_codewords",
     "knill_laflamme_check", "dense_distance", "reduced_entropy",
     "ChannelParams", "LinkPlan", "CostReport", "loss_probability", "p_success",
-    "rate", "cost_short_term", "cost_long_term", "cost_report", "optimal_k",
-    "optimal_k_table",
-    "AmecodesError", "DomainError", "FieldMismatchError", "ParseError",
+    "rate", "cost_report", "optimal_k_table",
+    "AmecodesError", "DomainError", "ParseError",
     "ReductionError", "ResourceBudgetError",
     "__version__",
 ]

@@ -148,6 +148,8 @@ def cmd_children(args) -> int:
 def cmd_oracle(args) -> int:
     if args.file and args.state:
         raise DomainError("pass a stabtab file or --state with --q, not both")
+    if args.file and args.q is not None:
+        raise DomainError("--q is a --state-only flag: a stabtab file gives q on its code line")
     if args.kl_d is not None and args.kl_d < 1:
         raise DomainError(f"--kl-d must be at least 1, got {args.kl_d}")
     if args.entropy_subsets and min(args.entropy_subsets) < 1:

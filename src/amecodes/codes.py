@@ -163,7 +163,8 @@ class GeneratorTable:
 
 
 def _commutation_map(table: GeneratorTable) -> np.ndarray:
-    """Omega M^T mod p: commutation_exp(E, g_j) = E's Z_p row @ column j.
+    """Omega M^T mod p: the commutation exponent s of E against g_j, with
+    E g_j = omega**s g_j E, is E's Z_p row @ column j.
 
     Omega is the trace-symplectic form (Ketkar, Klappenecker, Kumar,
     Sarvepalli, IEEE TIT 2006, quant-ph/0508070): over the sites,

@@ -15,10 +15,6 @@ class DomainError(AmecodesError, ValueError):
     """Invalid argument or precondition violation."""
 
 
-class FieldMismatchError(DomainError):
-    """Operands belong to different finite fields (or wrong lengths)."""
-
-
 class ParseError(DomainError):
     """Malformed input file; carries file name and line number."""
 

@@ -310,9 +310,10 @@ def _bipartition(state: StateVector, sites) -> np.ndarray:
 def reduced_entropy(state: StateVector, sites) -> float:
     """Von Neumann entropy (bits) of the reduced state on ``sites``.
 
-    Eigenvalues below 1e-12 count as zero.
+    Eigenvalues below 1e-12 count as zero.  A pure reduced state gives
+    +0.0: 0.0 - x is -x for x != 0, where negating 0.0 would give -0.0.
     """
     sing = np.linalg.svd(_bipartition(state, sites), compute_uv=False)
     probs = sing**2
     probs = probs[probs > 1e-12]
-    return float(-(probs * np.log2(probs)).sum())
+    return 0.0 - float((probs * np.log2(probs)).sum())

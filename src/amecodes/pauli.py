@@ -3,10 +3,9 @@
 A string is a per-site pair of field elements (a, b) standing for the
 site operator X_a Z_b, together with a global phase exponent t, the
 whole operator being omega**t * prod_i X_{a_i} Z_{b_i} for
-omega = exp(2*pi*i/p).  Each site is stored X-part before Z-part;
-phases created by reordering accumulate in the exponent, which makes
-multiplication associative and exactly trackable.  Group-level
-comparisons elsewhere in the package are projective (phases ignored).
+omega = exp(2*pi*i/p).  Each site is stored X-part before Z-part.
+Group-level comparisons elsewhere in the package are projective (phases
+ignored); the exponent is kept for the text form and the dense action.
 
 Site token grammar, shared with the stabilizer-table file format:
 ``i`` is the identity, ``x<e>``, ``z<e>`` and ``x<e>z<e>`` carry the
@@ -25,7 +24,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import DomainError, FieldMismatchError
+from .errors import DomainError
 from .fields import Field
 
 _TOKEN_RE = re.compile(r"^(?:i|(?=[xz])(?:x(\d+))?(?:z(\d+))?)$")
@@ -53,18 +52,13 @@ class PauliString:
     # -- constructors -----------------------------------------------------
 
     @classmethod
-    def identity(cls, field: Field, n: int) -> "PauliString":
-        return cls(field, ((0, 0),) * n)
-
-    @classmethod
-    def single(cls, field: Field, n: int, site: int, x: int = 0, z: int = 0) -> "PauliString":
-        sites = [(0, 0)] * n
-        sites[site] = (x, z)
-        return cls(field, tuple(sites))
-
-    @classmethod
     def from_tokens(cls, field: Field, tokens: Sequence[str], phase_exp: int = 0) -> "PauliString":
         return cls(field, tuple(parse_site_token(t, field.q) for t in tokens), phase_exp)
+
+    @classmethod
+    def from_symplectic(cls, field: Field, vec: Sequence[int], n: int) -> "PauliString":
+        """The phase-free string with Z_p coefficients ``vec``, per-site blocks [x | z]."""
+        return cls(field, sites_from_matrix(field, vec, n)[0])
 
     # -- basics ------------------------------------------------------------
 
@@ -75,53 +69,6 @@ class PauliString:
     def weight(self) -> int:
         """Number of sites acting non-trivially."""
         return sum(1 for a, b in self.sites if a or b)
-
-    def _check_peer(self, other: "PauliString") -> None:
-        if not isinstance(other, PauliString):
-            raise FieldMismatchError(f"expected PauliString, got {type(other).__name__}")
-        if other.field != self.field:
-            raise FieldMismatchError("operands live over different fields")
-        if other.n != self.n:
-            raise FieldMismatchError(f"length mismatch: {self.n} vs {other.n}")
-
-    # -- group operations ------------------------------------------------------
-
-    def __mul__(self, other: "PauliString") -> "PauliString":
-        """Operator product, with the reordering phase tracked exactly.
-
-        Site-wise, (X_a Z_b)(X_c Z_d) = omega**tr(b*c) X_(a+c) Z_(b+d).
-        """
-        self._check_peer(other)
-        f = self.field
-        phase = self.phase_exp + other.phase_exp
-        sites = []
-        for (a, b), (c, d) in zip(self.sites, other.sites):
-            phase += f.trace_mul(b, c)
-            sites.append((f.add(a, c), f.add(b, d)))
-        return PauliString(f, tuple(sites), phase % f.p)
-
-    def pow(self, s: int) -> "PauliString":
-        """s-fold product with itself; s must be a non-negative integer."""
-        if s < 0:
-            raise DomainError("negative powers are not defined here; use p-1-th powers")
-        out = PauliString.identity(self.field, self.n)
-        for _ in range(s):
-            out = out * self
-        return out
-
-    def commutation_exp(self, other: "PauliString") -> int:
-        """The s in self*other = omega**s other*self; zero iff they commute."""
-        self._check_peer(other)
-        f = self.field
-        s = 0
-        for (a, b), (c, d) in zip(self.sites, other.sites):
-            s += f.trace_mul(b, c) - f.trace_mul(a, d)
-        return s % f.p
-
-    @classmethod
-    def from_symplectic(cls, field: Field, vec: Sequence[int], n: int) -> "PauliString":
-        """The phase-free string with Z_p coefficients ``vec``, per-site blocks [x | z]."""
-        return cls(field, sites_from_matrix(field, vec, n)[0])
 
     # -- text form ---------------------------------------------------------------
 
@@ -170,7 +117,7 @@ def enumerate_errors(field: Field, n: int, weight: int) -> Iterator[PauliString]
     if weight < 0 or weight > n:
         raise DomainError(f"weight {weight} out of range for n={n}")
     if weight == 0:
-        yield PauliString.identity(field, n)
+        yield PauliString(field, ((0, 0),) * n)
         return
     q = field.q
     pairs = [(a, b) for a in range(q) for b in range(q) if a or b]

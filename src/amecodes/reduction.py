@@ -106,16 +106,6 @@ def _greedy_pivots(mat: np.ndarray, rows: list[int], site: int, m: int, p: int,
     )
 
 
-def find_pivot_rows(table: GeneratorTable, site: int) -> list[int]:
-    """The 2m lowest-index rows spanning the single-site symplectic space
-    at ``site`` (0-based).  Deterministic; raises ReductionError when the
-    restrictions are span-deficient."""
-    if not 0 <= site < table.n:
-        raise DomainError(f"site {site} out of range for n={table.n}")
-    rows = list(range(len(table.gens)))
-    return _greedy_pivots(table.symplectic_matrix(), rows, site, table.field.m, table.field.p, 1)
-
-
 def to_reduction_friendly(table: GeneratorTable) -> ReductionFriendlyForm:
     """Bring a table to the reduction-friendly form by legal row operations.
 

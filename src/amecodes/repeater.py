@@ -245,16 +245,6 @@ def _minimize_costs(
     return out
 
 
-def cost_short_term(code: CodeParams, l_tot: float, ch: ChannelParams) -> tuple[float, LinkPlan]:
-    """Minimized hardware cost factor n log2(q) / (L0 R t0) and its argmin."""
-    return _minimize_costs([code], l_tot, ch, _hardware)[code][:2]
-
-
-def cost_long_term(code: CodeParams, l_tot: float, ch: ChannelParams) -> tuple[float, LinkPlan]:
-    """Minimized running cost factor n q / (L0 R t0) and its argmin."""
-    return _minimize_costs([code], l_tot, ch, _per_photon)[code][:2]
-
-
 def _require_finite(cost: float, what: str, l_tot: float, ch: ChannelParams) -> None:
     """Refuse a minimized cost that is infinite, naming ``what`` has it and
     why: nothing arrives (eta_c = 0), or the rate underflows at every link
@@ -312,11 +302,6 @@ def _optimal_ks(
             _require_finite(costs[best][0], f"every child of AME({n},{q})", l_tot, ch)
         out[(n, q)] = best.k
     return out
-
-
-def optimal_k(n: int, q: int, l_tot: float, ch: ChannelParams) -> int:
-    """The child k minimizing C_LT at the given distance; ties pick smaller k."""
-    return _optimal_ks({(n, q): children_params(n, q)}, l_tot, ch)[(n, q)]
 
 
 def optimal_k_table(

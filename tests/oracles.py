@@ -5,8 +5,8 @@ definitions, without touching the package's tables or symplectic
 machinery, so expected values stay independent of the code paths they
 check: naive polynomial arithmetic over Z_p[x]/(modulus), row reduction
 one row at a time, dense Pauli matrices built by Kronecker products,
-exhaustive searches, and the repeater cost curve evaluated on its own
-full link grid for each code.
+the scalar Pauli group algebra site by site, exhaustive searches, and
+the repeater cost curve evaluated on its own full link grid for each code.
 """
 
 from __future__ import annotations
@@ -106,6 +106,44 @@ def dense_pauli(field, sites, phase_exp=0):
     return total
 
 
+# -- the Pauli group algebra, one site at a time ------------------------------
+#
+# An element is (sites, phase): omega**phase * prod_i X_{a_i} Z_{b_i} for
+# sites ((a_i, b_i), ...), with the phase rules of Gottesman,
+# arXiv:quant-ph/9705052, over GF(p^m) through the trace.
+
+
+def pauli_mul(field, left, right):
+    """(sites, phase) of the product left * right of two (sites, phase)
+    elements; per site, (X_a Z_b)(X_c Z_d) = omega**tr(b*c) X_(a+c) Z_(b+d)."""
+    (l_sites, phase), (r_sites, r_phase) = left, right
+    assert len(l_sites) == len(r_sites), "elements of different lengths"
+    phase += r_phase
+    sites = []
+    for (a, b), (c, d) in zip(l_sites, r_sites):
+        phase += field.trace_mul(b, c)
+        sites.append((field.add(a, c), field.add(b, d)))
+    return tuple(sites), phase % field.p
+
+
+def pauli_pow(field, element, s):
+    """(sites, phase) of element**s for an integer s >= 0, by s products."""
+    assert s >= 0, "negative powers: use the (p-1)-th power"
+    out = (((0, 0),) * len(element[0]), 0)
+    for _ in range(s):
+        out = pauli_mul(field, out, element)
+    return out
+
+
+def commutation_exp(field, left_sites, right_sites):
+    """The s in E F = omega**s F E for E, F on these sites; zero iff they
+    commute: the sum over sites of tr(b*c) - tr(a*d) for (a, b), (c, d)."""
+    assert len(left_sites) == len(right_sites), "elements of different lengths"
+    s = sum(field.trace_mul(b, c) - field.trace_mul(a, d)
+            for (a, b), (c, d) in zip(left_sites, right_sites))
+    return s % field.p
+
+
 # -- row reduction over Z_p, one row operation at a time -----------------------
 
 
@@ -143,15 +181,14 @@ def exhaustive_inverse(x, q):
 
 def projective_group(table):
     """All products of generator powers as a set of phase-free site tuples."""
-    p = table.field.p
-    gens = table.gens
+    f = table.field
+    gens = [(g.sites, g.phase_exp) for g in table.gens]
     seen = set()
-    for powers in itertools.product(range(p), repeat=len(gens)):
-        el = None
+    for powers in itertools.product(range(f.p), repeat=len(gens)):
+        el = (((0, 0),) * table.n, 0)
         for s, g in zip(powers, gens):
-            part = g.pow(s)
-            el = part if el is None else el * part
-        seen.add(el.sites)
+            el = pauli_mul(f, el, pauli_pow(f, g, s))
+        seen.add(el[0])
     return seen
 
 

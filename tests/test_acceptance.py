@@ -24,17 +24,18 @@ import numpy as np
 
 from amecodes import linalg, stabtab
 from amecodes.catalog import load_catalog, load_table
-from amecodes.codes import (CodeParams, GeneratorTable, check_commutation,
-                            check_independence, compute_distance,
-                            find_min_undetectable)
+from amecodes.codes import (CodeParams, GeneratorTable, _commutation_map,
+                            check_commutation, check_independence,
+                            compute_distance, find_min_undetectable)
 from amecodes.fields import GF
 from amecodes.oracle import (ame_projection_codewords, dense_distance,
                              expand_stabilizer, knill_laflamme_check,
                              reduced_entropy)
 from amecodes.pauli import PauliString, StateVector
 from amecodes.reduction import derive_family, to_reduction_friendly
-from amecodes.repeater import (ChannelParams, cost_long_term, cost_short_term,
-                               LinkPlan, optimal_k, p_success, rate)
+from amecodes.repeater import (ChannelParams, LinkPlan, cost_report,
+                               optimal_k_table, p_success, rate)
+from oracles import repeater_costs
 
 CH = ChannelParams()
 LOG2_3 = math.log2(3)
@@ -120,9 +121,11 @@ def test_criterion_1_literal_five_qubit_figures():
     printed = (two_route_distance(parent), two_route_distance(child))
     _, parent_witness = find_min_undetectable(parent, 3)
     _, child_witness = find_min_undetectable(child, 2)
+    rows = parent.symplectic_matrix()
+    g4g5 = PauliString.from_symplectic(parent.field, (rows[3] + rows[4]) % 2, parent.n)
     witnesses = (
-        parent_witness.sites == (parent.gens[3] * parent.gens[4]).sites
-        and child_witness.sites == PauliString.single(child.field, 4, 2, x=1).sites
+        parent_witness.sites == g4g5.sites
+        and child_witness.sites == ((0, 0), (0, 0), (1, 0), (0, 0))  # X on site 3
     )
     ame, kid = catalog_table("ame_5_2"), catalog_table("code_4_1_2_2")
     shipped = (two_route_distance(ame), two_route_distance(kid))
@@ -286,10 +289,8 @@ def test_criterion_6_optimal_k_cells():
     # C_LT of the k=2 and k=3 children at 1000 km, to two decimals
     disputed_costs = {(12, 7): (10.56, 12.81), (13, 7): (13.58, 16.94)}
     t0 = time.perf_counter()
-    computed = {
-        cell: (optimal_k(*cell, 1000.0, CH), optimal_k(*cell, 10000.0, CH))
-        for cell in expected
-    }
+    table = optimal_k_table([(n, q, "exists") for n, q in expected], [1000.0, 10000.0], CH)
+    computed = {cell: tuple(int(k) for k in table[cell]) for cell in expected}
     elapsed = time.perf_counter() - t0
     source = {**expected, **source_disputed}
     disagreeing = {c for c in source if computed[c] != source[c]}
@@ -320,7 +321,7 @@ def test_criterion_6_optimal_k_cells():
 
 def test_criterion_7_figure_orderings():
     trio = [CodeParams(5, 1, 3, 2), CodeParams(4, 2, 2, 2), CodeParams(7, 1, 3, 2)]
-    ranked = sorted(trio, key=lambda c: cost_short_term(c, 1000.0, CH)[0])
+    ranked = sorted(trio, key=lambda c: cost_report(c, 1000.0, CH).c_st)
     best_is_513 = ranked[0].label() == "[[5,1,3]]_2"
     kids = [CodeParams(14 - k, k, 8 - k, 7) for k in range(1, 7)]
     max_d_not_best = True
@@ -338,6 +339,15 @@ def test_criterion_7_figure_orderings():
 # -- criterion 8: property suites ---------------------------------------------------------
 
 
+def commutation_form(f, rows, column):
+    """The commutation exponents of the site tuples ``rows`` against
+    ``column``, from ``codes._commutation_map`` of a table holding
+    ``column`` (m times: a table has a multiple of m rows)."""
+    table = GeneratorTable(f, len(column), (PauliString(f, column),) * f.m)
+    vecs = f.coeff_matrix[np.array(rows)].reshape(len(rows), -1)
+    return ((vecs @ _commutation_map(table)[:, 0]) % f.p).tolist()
+
+
 def test_criterion_8_property_suites():
     ok = True
     # field axioms, exhaustive for q <= 9
@@ -348,7 +358,8 @@ def test_criterion_8_property_suites():
                 ok = False
             if f.add(f.add(a, b), c) != f.add(a, f.add(b, c)):
                 ok = False
-    # commutation antisymmetry / bilinearity on 10^4 random pairs
+    # antisymmetry / bilinearity of the trace-symplectic form on 10^4 random
+    # triples; the form ignores the phases, which are drawn all the same
     rng = random.Random(606)
     fields = [GF(2), GF(3), GF(9)]
     for _ in range(10_000):
@@ -357,12 +368,13 @@ def test_criterion_8_property_suites():
         mk = lambda: PauliString(
             f, tuple((rng.randrange(f.q), rng.randrange(f.q)) for _ in range(n)),
             rng.randrange(f.p))
-        a, b, c = mk(), mk(), mk()
-        if a.commutation_exp(b) != (-b.commutation_exp(a)) % f.p:
+        a, b, c = (s.sites for s in (mk(), mk(), mk()))
+        ac = tuple((int(f.add_table[x, y]), int(f.add_table[z, w]))
+                   for (x, z), (y, w) in zip(a, c))
+        s_ab, s_cb, s_acb = commutation_form(f, [a, c, ac], b)
+        if s_ab != (-commutation_form(f, [b], a)[0]) % f.p:
             ok = False
-        if (a * c).commutation_exp(b) != (
-            a.commutation_exp(b) + c.commutation_exp(b)
-        ) % f.p:
+        if s_acb != (s_ab + s_cb) % f.p:
             ok = False
     # p_success monotone in p_l and in d
     code_grid = [CodeParams(10, 2, d, 3) for d in (2, 3, 4)]
@@ -385,8 +397,11 @@ def test_criterion_8_property_suites():
         q = rng.choice([2, 3, 4, 5, 7, 8])
         code = CodeParams(n, k, d, q)
         l_tot = rng.choice([300.0, 1000.0, 4000.0])
-        st, plan_st = cost_short_term(code, l_tot, CH)
-        lt, plan_lt = cost_long_term(code, l_tot, CH)
-        if plan_st != plan_lt or abs(lt / st - q / math.log2(q)) > 1e-9:
+        rep = cost_report(code, l_tot, CH)
+        (c_st, r_st, _), (c_lt, r_lt, _) = repeater_costs(
+            n, k, d, q, l_tot, CH.l_att, CH.eta_c, [n * math.log2(q), n * q])
+        if (r_lt != r_st
+                or (rep.c_st, rep.c_lt, rep.plan) != (c_st, c_lt, LinkPlan(l_tot, r_st))
+                or abs(rep.c_lt / rep.c_st - q / math.log2(q)) > 1e-9):
             ok = False
     assert report(8, "field axioms, commutation properties, repeater identities", ok)

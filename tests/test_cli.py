@@ -101,6 +101,22 @@ def test_oracle_on_state_file(tmp_path, capsys):
     assert f"{2*math.log2(3):.6f}" in out
 
 
+def test_oracle_entropy_of_a_product_state_prints_positive_zero(tmp_path, capsys):
+    state = tmp_path / "zero.txt"
+    state.write_text("1 0\n0 0\n0 0\n0 0\n")  # |00>
+    code, out, _ = run(capsys, "oracle", "--state", str(state), "--q", "2",
+                       "--entropy-subsets", "1")
+    assert code == 0
+    assert out == ("state: n=2, q=2 (normalized input)\n"
+                   "entropy |A|=1: min 0.000000  max 0.000000 bits\n")
+
+
+def test_oracle_refuses_q_with_a_stabtab_file(capsys):
+    code, out, err = run(capsys, "oracle", str(catalog_dir() / "ame_3_2.stabtab"), "--q", "3")
+    assert (code, out) == (2, "")
+    assert err == "error: --q is a --state-only flag: a stabtab file gives q on its code line\n"
+
+
 def test_rate_fixed_and_optimized(capsys):
     code, out, _ = run(capsys, "rate", "--n", "5", "--k", "1", "--d", "3", "--q", "2",
                        "--ltot", "1000", "--l0", "1.0")

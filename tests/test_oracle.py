@@ -249,6 +249,14 @@ def test_reduced_entropy_examples():
     assert reduced_entropy(psi, range(4)) == pytest.approx(0.0, abs=1e-12)
 
 
+def test_pure_reduced_state_has_positive_zero_entropy():
+    # |00>: each site is pure; -0.0 would print as -0.000000
+    psi = StateVector(GF(2), 2, np.eye(4)[0])
+    for sites in ([0], [1], [0, 1]):
+        got = reduced_entropy(psi, sites)
+        assert got == 0.0 and math.copysign(1.0, got) == 1.0
+
+
 def test_bipartition_rejects_sites_out_of_range():
     psi = ame43_state()
     with pytest.raises(DomainError, match="out of range"):

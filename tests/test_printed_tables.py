@@ -18,6 +18,7 @@ from amecodes import stabtab
 from amecodes.catalog import load_table
 from amecodes.codes import check_commutation, check_independence, compute_distance, find_min_undetectable
 from amecodes.oracle import dense_distance, expand_stabilizer
+from amecodes.pauli import PauliString
 
 PRINTED_AME_5_2 = """code n=5 q=2 k=0
 g1: i i x1 x1 x1
@@ -51,8 +52,8 @@ def test_printed_five_qubit_parent_has_distance_two():
     assert w == 2
     # the witness is exactly g4*g5 (projectively): Y on site 1, X on site 4
     assert err.sites == ((1, 1), (0, 0), (0, 0), (1, 0), (0, 0))
-    prod = t.gens[3] * t.gens[4]
-    assert prod.sites == err.sites
+    rows = t.symplectic_matrix()
+    assert PauliString.from_symplectic(t.field, (rows[3] + rows[4]) % 2, t.n).sites == err.sites
     assert compute_distance(t, 3) == 2  # labeled 3 in the source
     # second route: the dense oracle over all 2^5 amplitudes
     assert dense_distance(expand_stabilizer(t), t.n) == 2

@@ -12,9 +12,8 @@ from amecodes.catalog import catalog_grid
 from amecodes.codes import CodeParams
 from amecodes.errors import DomainError
 from amecodes.repeater import (ChannelParams, LinkPlan, _screened_curves, children_params,
-                               cost_long_term, cost_report, cost_short_term,
-                               figure_rows, link_grid, loss_probability,
-                               optimal_k, optimal_k_table, p_success, rate)
+                               cost_report, figure_rows, link_grid, loss_probability,
+                               optimal_k_table, p_success, rate)
 from oracles import repeater_costs, repeater_rate
 
 CH = ChannelParams()
@@ -109,10 +108,9 @@ def test_cost_ratio_identity_random_configs():
         q = rng.choice([2, 3, 4, 5, 7, 8])
         code = CodeParams(n, k, d, q)
         l_tot = rng.choice([200.0, 1000.0, 5000.0])
-        st, plan_st = cost_short_term(code, l_tot, CH)
-        lt, plan_lt = cost_long_term(code, l_tot, CH)
-        assert plan_st == plan_lt
-        assert lt / st == pytest.approx(q / math.log2(q), rel=1e-12)
+        rep = cost_report(code, l_tot, CH)
+        assert_both_argmins(rep, code, l_tot, CH)
+        assert rep.c_lt / rep.c_st == pytest.approx(q / math.log2(q), rel=1e-12)
 
 
 def test_long_term_prefactor_minimized_at_q_three():
@@ -125,8 +123,8 @@ def test_long_term_prefactor_minimized_at_q_three():
 def test_cost_improves_with_distance():
     # a larger d at fixed (n, k, q) never increases C_ST
     for d_lo, d_hi in ((2, 3), (3, 4)):
-        lo, _ = cost_short_term(CodeParams(9, 1, d_lo, 3), 1000.0, CH)
-        hi, _ = cost_short_term(CodeParams(9, 1, d_hi, 3), 1000.0, CH)
+        lo = cost_report(CodeParams(9, 1, d_lo, 3), 1000.0, CH).c_st
+        hi = cost_report(CodeParams(9, 1, d_hi, 3), 1000.0, CH).c_st
         assert hi <= lo + 1e-12
 
 
@@ -165,29 +163,26 @@ def test_cost_report_reads_both_costs_off_one_curve():
         code = rng.choice(children_params(rng.randrange(4, 15), rng.choice([2, 3, 5, 7, 8])))
         l_tot = rng.choice([100.0, 730.0, 1000.0, 5000.0])
         ch = ChannelParams(rng.uniform(15, 25), rng.uniform(0.9, 1.0))
-        rep = cost_report(code, l_tot, ch)
-        assert (rep.c_st, rep.plan) == cost_short_term(code, l_tot, ch)
-        assert (rep.c_lt, rep.plan) == cost_long_term(code, l_tot, ch)
+        assert_both_argmins(cost_report(code, l_tot, ch), code, l_tot, ch)
 
 
 def test_cost_report_refuses_infinite_costs():
     with pytest.raises(DomainError, match="no finite cost"):
         cost_report(CodeParams(5, 1, 3, 2), 1000.0, ChannelParams(eta_c=0.0))
-    # optimal_k still ranks a child with no finite cost as a loser
+    # optimal_k_table still ranks a child with no finite cost as a loser
     ch = ChannelParams(20.0, 0.98)
     last = children_params(14, 7)[-1]
     assert last.label() == "[[8,6,2]]_7"
-    assert cost_long_term(last, 10000.0, ch)[0] == math.inf
+    assert reference_costs(last, 10000.0, ch)[1][0] == math.inf
     with pytest.raises(DomainError):
         cost_report(last, 10000.0, ch)
-    assert optimal_k(14, 7, 10000.0, ch) == 2
+    assert optimal_k_table([(14, 7, "exists")], [10000.0], ch) == {(14, 7): ["2"]}
 
 
 def test_optimal_k_forced_single_child():
-    assert optimal_k(4, 3, 1000.0, CH) == 1
-    assert optimal_k(4, 3, 10000.0, CH) == 1
-    with pytest.raises(DomainError):
-        optimal_k(2, 2, 1000.0, CH)
+    assert optimal_k_table([(4, 3, "exists")], [1000.0, 10000.0], CH) == {(4, 3): ["1", "1"]}
+    with pytest.raises(DomainError, match=re.escape("AME(2,2) has no children")):
+        optimal_k_table([(2, 2, "exists")], [1000.0], CH)
 
 
 def test_optimal_k_table_markers_and_values():
@@ -242,9 +237,6 @@ def test_a_table_of_markers_takes_any_distance():
 def test_every_optimizer_entry_refuses_what_link_grid_refuses(l_tot, message):
     code = CodeParams(5, 1, 3, 2)
     calls = [lambda: optimal_k_table([(6, 2, "exists")], [1000.0, l_tot], CH),
-             lambda: optimal_k(6, 2, l_tot, CH),
-             lambda: cost_short_term(code, l_tot, CH),
-             lambda: cost_long_term(code, l_tot, CH),
              lambda: cost_report(code, l_tot, CH),
              lambda: figure_rows([code], [1000.0, l_tot], CH)]
     for call in calls:
@@ -277,6 +269,13 @@ def reference_costs(code, l_tot, ch):
                           [code.n * math.log2(code.q), code.n * code.q])
 
 
+def assert_both_argmins(rep, code, l_tot, ch):
+    """``rep`` holds both reference minima at their shared link count."""
+    (c_st, r_st, _), (c_lt, r_lt, _) = reference_costs(code, l_tot, ch)
+    assert r_lt == r_st
+    assert (rep.c_st, rep.c_lt, rep.plan) == (c_st, c_lt, LinkPlan(l_tot, r_st))
+
+
 def reference_optimal_k(kids, costs):
     """The k of the first child of least C_LT, or "refuse" when two or more
     children all have an infinite C_LT, so that no comparison picks one."""
@@ -294,11 +293,12 @@ def refusal(cell, l_tot):
 
 
 def assert_optimal_k(cell, l_tot, ch, want):
+    table = lambda: optimal_k_table([(*cell, "exists")], [l_tot], ch)
     if want == "refuse":
         with pytest.raises(DomainError, match=refusal(cell, l_tot)):
-            optimal_k(*cell, l_tot, ch)
+            table()
     else:
-        assert optimal_k(*cell, l_tot, ch) == want
+        assert table() == {cell: [str(want)]}
 
 
 @settings(max_examples=15, deadline=None)
@@ -339,8 +339,7 @@ def test_optimizer_matches_one_full_curve_per_code(ch, distances, cells, pick):
         code = kids[pick % len(kids)]
         for l_tot, col in zip(distances, costs):
             (c_st, r_st, throughput), (c_lt, r_lt, _) = col[code]
-            assert cost_short_term(code, l_tot, ch) == (c_st, LinkPlan(l_tot, r_st))
-            assert cost_long_term(code, l_tot, ch) == (c_lt, LinkPlan(l_tot, r_lt))
+            assert r_lt == r_st
             if c_st == math.inf:
                 with pytest.raises(DomainError, match="no finite cost"):
                     cost_report(code, l_tot, ch)
@@ -350,6 +349,7 @@ def test_optimizer_matches_one_full_curve_per_code(ch, distances, cells, pick):
             rep = cost_report(code, l_tot, ch)
             assert (rep.c_st, rep.plan, rep.c_lt) == (
                 c_st, LinkPlan(l_tot, r_st), float(code.n * code.q / throughput))
+            assert rep.c_lt == c_lt
             assert (rep.p_success, rep.rate_t0) == (ps, rt0)
 
     rows, first_inf = [], None
@@ -398,8 +398,7 @@ def test_screen_edge_paths_match_the_full_grid(cells, l_tot, ch):
     rows, first_inf = [], None
     for code in kids:
         (c_st, r_st, throughput), (c_lt, r_lt, _) = costs[code]
-        assert cost_short_term(code, l_tot, ch) == (c_st, LinkPlan(l_tot, r_st))
-        assert cost_long_term(code, l_tot, ch) == (c_lt, LinkPlan(l_tot, r_lt))
+        assert r_lt == r_st
         if c_st == math.inf:
             with pytest.raises(DomainError, match="no finite cost"):
                 cost_report(code, l_tot, ch)
@@ -408,6 +407,7 @@ def test_screen_edge_paths_match_the_full_grid(cells, l_tot, ch):
         rep = cost_report(code, l_tot, ch)
         assert (rep.c_st, rep.plan, rep.c_lt) == (
             c_st, LinkPlan(l_tot, r_st), float(code.n * code.q / throughput))
+        assert rep.c_lt == c_lt
         links = max(1, round(l_tot))
         rows.append({"ltot_km": l_tot, "code": code.label(),
                      "rate_t0_fixed_l0": repeater_rate(code.n, code.k, code.d, code.q, links,
@@ -450,6 +450,4 @@ def test_screen_takes_in_link_counts_where_poly_overflows():
     code = CodeParams(44, 2, 21, 2)
     links, _ = next(_screened_curves(10000.0, CH, [(44, 21)]))
     assert 14 in links.tolist()
-    (c_st, r_st, _), (c_lt, r_lt, _) = reference_costs(code, 10000.0, CH)
-    assert cost_short_term(code, 10000.0, CH) == (c_st, LinkPlan(10000.0, r_st))
-    assert cost_long_term(code, 10000.0, CH) == (c_lt, LinkPlan(10000.0, r_lt))
+    assert_both_argmins(cost_report(code, 10000.0, CH), code, 10000.0, CH)

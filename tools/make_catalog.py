@@ -101,7 +101,9 @@ def main():
     for printed in (printed52, printed412):
         require_stabilizer(printed)
     w, err = find_min_undetectable(printed52, 3)
-    assert (w, err.sites) == (2, (printed52.gens[3] * printed52.gens[4]).sites), \
+    rows = printed52.symplectic_matrix()
+    g4g5 = PauliString.from_symplectic(printed52.field, (rows[3] + rows[4]) % 2, 5)
+    assert (w, err.sites) == (2, g4g5.sites), \
         "the printed AME(5,2) figure's first weight-2 element is not g4*g5"
     w, err = find_min_undetectable(printed412, 2)
     assert (w, err.sites) == (1, ((0, 0), (0, 0), (1, 0), (0, 0))), \
