@@ -66,11 +66,14 @@ def _parse_index(text: str, filename: str) -> list[CatalogEntry]:
         nonlocal current, current_id
         if current is None:
             return
-        params = current.pop("params", "").split()
+        try:
+            params = [int(x) for x in current.pop("params", "").split()]
+        except ValueError:
+            params = []
         if len(params) == 4:
-            n, k, d, q = (int(x) for x in params)
+            n, k, d, q = params
         elif len(params) == 2:
-            n, q = (int(x) for x in params)
+            n, q = params
             k = d = None
         else:
             raise ParseError(f"entry {current_id}: params must be 'n k d q' or 'n q'",

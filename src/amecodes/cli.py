@@ -156,7 +156,7 @@ def cmd_oracle(args) -> int:
         raise DomainError(f"--entropy-subsets sizes must be at least 1, "
                           f"got {min(args.entropy_subsets)}")
     if args.state:
-        if not args.q:
+        if args.q is None:
             raise DomainError("--state needs --q to fix the local dimension")
         field = GF(args.q)
         amps = []
@@ -286,6 +286,8 @@ def cmd_figure(args) -> int:
 
 
 def cmd_catalog(args) -> int:
+    if args.id is not None and args.action != "show":
+        raise DomainError(f"catalog {args.action} takes no entry id; only catalog show does")
     if args.action == "list":
         for e in cat.load_catalog():
             if e.file:

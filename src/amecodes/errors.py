@@ -21,7 +21,8 @@ class ParseError(DomainError):
     def __init__(self, message, filename=None, line=None):
         self.filename = filename or "<string>"
         self.line = line
-        super().__init__(f"{self.filename}:{line}: {message}" if line else message)
+        where = f"{self.filename}:{line}: " if line else f"{filename}: " if filename else ""
+        super().__init__(where + message)
 
 
 class ReductionError(DomainError):

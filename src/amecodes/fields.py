@@ -1,4 +1,4 @@
-"""Exact arithmetic in prime fields Z_p and extension fields GF(p^m).
+"""Exact arithmetic in prime fields Z_p and extension fields GF(p^m), as tables.
 
 Every element is referred to by an integer *index* in [0, q):
 
@@ -9,19 +9,20 @@ Every element is referred to by an integer *index* in [0, q):
   e >= 1 stands for alpha**(e-1), where alpha is the class of x modulo
   the pinned field polynomial.
 
-One array holds the coefficients: row i of ``coeff_matrix`` lists the
-Z_p coefficients of element i over {1, alpha, ..., alpha^(m-1)}, and
-``coeff_index`` inverts it, keyed by the base-p value sum_k c_k p**k;
-``index_of_coeffs`` does that lookup for any array of coefficient
-vectors.  For GF(p^m) the rows are the successive powers of x reduced by
-the monic modulus.  Every other table is derived from these two arrays
-with numpy: addition adds coefficient rows and looks the sum up through
-``index_of_coeffs``; multiplication is the product mod p for prime fields
-and adds logs mod q-1 for extension fields; negation and inversion are
-read off those tables; the trace sums the coefficient rows of the
-Frobenius images x, x^p, ..., x^(p^(m-1)); ``gram`` is the trace form
-tr(x*y) on the coefficient basis, the one form through which the rest of
-the package reads the trace-symplectic product.
+A field is its numpy tables, indexed by element indices.  One array holds
+the coefficients: row i of ``coeff_matrix`` lists the Z_p coefficients of
+element i over {1, alpha, ..., alpha^(m-1)}, and ``coeff_index`` inverts
+it, keyed by the base-p value sum_k c_k p**k; ``index_of_coeffs`` does
+that lookup for any array of coefficient vectors.  For GF(p^m) the rows
+are the successive powers of x reduced by the monic modulus.  Every other
+table is derived from these two arrays with numpy: ``add_table`` adds
+coefficient rows and looks the sum up through ``index_of_coeffs``;
+``mul_table`` is the product mod p for prime fields and adds logs mod q-1
+for extension fields; ``trace_table`` sums the coefficient rows of the
+Frobenius images x, x^p, ..., x^(p^(m-1)); ``trmul_table`` is the trace
+of each product; ``gram`` is the trace form tr(x*y) on the coefficient
+basis, the one form through which the rest of the package reads the
+trace-symplectic product.
 
 Pinned field polynomials (coefficients highest degree first), chosen
 once so that element indices and every table built from them are
@@ -30,8 +31,7 @@ reproducible:
     GF(4): x^2 + x + 1     GF(8): x^3 + x + 1     GF(9): x^2 + x + 2
 
 Supported sizes: q <= 64 for prime fields, q <= 9 for extension fields.
-Fields are immutable after construction; all operations are pure
-functions of indices, safe to share across workers.
+Fields are immutable after construction, safe to share across workers.
 """
 
 from __future__ import annotations
@@ -75,11 +75,10 @@ class Field:
     """A prime field Z_p or extension field GF(p^m) with precomputed tables.
 
     Prefer the :func:`GF` factory, which caches instances.  Elements are
-    plain integer indices: the scalar methods (``add``, ``mul``, ``pow``,
-    ``trace``, ``coeffs``, ...) take and return them, and the numpy tables
-    (``add_table``, ``mul_table``, ``trmul_table``, ``coeff_matrix``,
-    ``coeff_index``, ``gram``) are the kernels the rest of the package
-    vectorizes over.
+    plain integer indices into the numpy tables (``coeff_matrix``,
+    ``coeff_index``, ``add_table``, ``mul_table``, ``trace_table``,
+    ``trmul_table``, ``gram``), which the rest of the package vectorizes
+    over.
     """
 
     def __init__(self, q: int, modulus: Sequence[int] | None = None):
@@ -93,17 +92,13 @@ class Field:
         self.q = q
         if m == 1:
             self.modulus: tuple[int, ...] | None = None
-            # element index == value; alpha is the smallest primitive root
-            self.alpha_index = next(
-                (g for g in range(2, p) if len({pow(g, e, p) for e in range(p - 1)}) == p - 1), 1
-            )
+            # element index == value
             coeffs = np.arange(q, dtype=np.int64)[:, None]
         else:
             mod = tuple(int(c) % p for c in (modulus if modulus is not None else PINNED_MODULI[q]))
             if len(mod) != m + 1 or mod[0] != 1:
                 raise DomainError(f"modulus must be a monic degree-{m} coefficient list, got {mod}")
             self.modulus = mod
-            self.alpha_index = 2  # alpha**1
             # row e+1 = x * row e: shift up one degree, then fold the top
             # coefficient back in through x**m = -(monic tail)
             tail = np.array(mod[:0:-1], dtype=np.int64)
@@ -139,8 +134,6 @@ class Field:
             self.mul_table = np.where(
                 np.multiply.outer(i, i) > 0, np.add.outer(i - 1, i - 1) % (q - 1) + 1, 0
             )
-        self.neg_table = (self.add_table == 0).argmax(axis=1)
-        self.inv_table = (self.mul_table == self.one_index).argmax(axis=1)
         # trace(x) = x + x^p + ... + x^(p^(m-1)): the Frobenius image x^(p^k)
         # multiplies the log by p^k (k = 0 alone, the identity, for m = 1)
         frobenius = [np.concatenate(([0], (i[1:] - 1) * p**k % (q - 1) + 1)) for k in range(m)]
@@ -154,51 +147,13 @@ class Field:
         # whose element alpha**k has coefficient vector e_k
         basis = self.index_of_coeffs(np.eye(m, dtype=np.int64))
         self.gram = self.trmul_table[np.ix_(basis, basis)]
-        if m > 1 and self.trace(self.one_index) == 0:
+        if m > 1 and self.trace_table[1] == 0:
             warnings.warn(
                 f"in GF({q}) the trace of 1 vanishes (p divides m), so single-site "
                 "X and Z operators commute; some weight-1 errors are detectable "
                 "only through their other tensor factors",
                 stacklevel=3,
             )
-
-    @property
-    def one_index(self) -> int:
-        return 1 % self.q
-
-    def add(self, i: int, j: int) -> int:
-        return int(self.add_table[i, j])
-
-    def neg(self, i: int) -> int:
-        return int(self.neg_table[i])
-
-    def mul(self, i: int, j: int) -> int:
-        return int(self.mul_table[i, j])
-
-    def inv(self, i: int) -> int:
-        if i == 0:
-            raise DomainError("zero has no multiplicative inverse")
-        return int(self.inv_table[i])
-
-    def pow(self, i: int, s: int) -> int:
-        i, s = int(i), int(s)
-        if s < 0:
-            i, s = self.inv(i), -s
-        if self.m == 1:
-            return pow(i, s, self.p)
-        if s == 0:
-            return self.one_index
-        return 0 if i == 0 else (i - 1) * s % (self.q - 1) + 1
-
-    def trace(self, i: int) -> int:
-        return int(self.trace_table[i])
-
-    def trace_mul(self, i: int, j: int) -> int:
-        return int(self.trmul_table[i, j])
-
-    def coeffs(self, i: int) -> tuple[int, ...]:
-        """Coefficients of the element over {1, alpha, ..., alpha^(m-1)}."""
-        return tuple(int(c) for c in self.coeff_matrix[i])
 
     def index_of_coeffs(self, coeffs) -> int | np.ndarray:
         """Index of the element with these coefficients (read mod p), or an

@@ -97,7 +97,7 @@ def _lifted_action(g: PauliString) -> tuple[np.ndarray, np.ndarray]:
     """dense_action of g, lifted by i**tr(a*b) per site when p = 2 to order p."""
     perm, factor = dense_action(g)
     if g.field.p == 2:
-        factor = factor * (1j) ** sum(g.field.trace_mul(a, b) for a, b in g.sites)
+        factor = factor * (1j) ** sum(int(g.field.trmul_table[a, b]) for a, b in g.sites)
     return perm, factor
 
 

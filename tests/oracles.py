@@ -1,9 +1,10 @@
 """Independent mini-oracles for the test suite.
 
 Everything here is deliberately written from scratch against the
-definitions, without touching the package's tables or symplectic
-machinery, so expected values stay independent of the code paths they
-check: naive polynomial arithmetic over Z_p[x]/(modulus), row reduction
+definitions, reading the package only through a field's addition and
+trace-of-product tables (which test_fields checks against the polynomial
+arithmetic below) and never through its symplectic machinery, so expected
+values stay independent of the code paths they check: naive polynomial arithmetic over Z_p[x]/(modulus), row reduction
 one row at a time, dense Pauli matrices built by Kronecker products,
 the scalar Pauli group algebra site by site, exhaustive searches, and
 the repeater cost curve evaluated on its own full link grid for each code.
@@ -93,15 +94,15 @@ def is_primitive_modulus(modulus, p):
 
 def dense_pauli(field, sites, phase_exp=0):
     """Matrix of omega**phase_exp * prod X_a Z_b built by Kronecker products,
-    using only the field's add/trace-of-product scalar functions."""
+    using only the field's addition and trace-of-product tables."""
     q, p = field.q, field.p
     omega = np.exp(2j * np.pi / p)
     total = np.array([[omega**phase_exp]])
     for a, b in sites:
         x_mat = np.zeros((q, q), dtype=complex)
         for j in range(q):
-            x_mat[field.add(j, a), j] = 1.0
-        z_mat = np.diag([omega ** field.trace_mul(b, j) for j in range(q)])
+            x_mat[field.add_table[j, a], j] = 1.0
+        z_mat = np.diag([omega ** int(field.trmul_table[b, j]) for j in range(q)])
         total = np.kron(total, x_mat @ z_mat)
     return total
 
@@ -121,8 +122,8 @@ def pauli_mul(field, left, right):
     phase += r_phase
     sites = []
     for (a, b), (c, d) in zip(l_sites, r_sites):
-        phase += field.trace_mul(b, c)
-        sites.append((field.add(a, c), field.add(b, d)))
+        phase += int(field.trmul_table[b, c])
+        sites.append((int(field.add_table[a, c]), int(field.add_table[b, d])))
     return tuple(sites), phase % field.p
 
 
@@ -139,7 +140,7 @@ def commutation_exp(field, left_sites, right_sites):
     """The s in E F = omega**s F E for E, F on these sites; zero iff they
     commute: the sum over sites of tr(b*c) - tr(a*d) for (a, b), (c, d)."""
     assert len(left_sites) == len(right_sites), "elements of different lengths"
-    s = sum(field.trace_mul(b, c) - field.trace_mul(a, d)
+    s = sum(int(field.trmul_table[b, c]) - int(field.trmul_table[a, d])
             for (a, b), (c, d) in zip(left_sites, right_sites))
     return s % field.p
 
@@ -179,6 +180,11 @@ def exhaustive_inverse(x, q):
     raise AssertionError(f"no inverse for {x} mod {q}")
 
 
+def smallest_primitive_root(p):
+    """Smallest g in Z_p whose powers reach every nonzero element (prime p)."""
+    return next(g for g in range(1, p) if len({pow(g, e, p) for e in range(p - 1)}) == p - 1)
+
+
 def projective_group(table):
     """All products of generator powers as a set of phase-free site tuples."""
     f = table.field
@@ -199,6 +205,7 @@ def greedy_pivot_rows(table, site):
     are independent.  The span is a set of pairs closed by field addition,
     so its rank is log_p of its size."""
     f = table.field
+    add = f.add_table
     span, kept = {(0, 0)}, []
     for i, g in enumerate(table.gens):
         x, z = g.sites[site]
@@ -207,8 +214,8 @@ def greedy_pivot_rows(table, site):
         multiples = [(0, 0)]
         for _ in range(f.p - 1):
             a, b = multiples[-1]
-            multiples.append((f.add(a, x), f.add(b, z)))
-        span = {(f.add(a, c), f.add(b, e)) for a, b in span for c, e in multiples}
+            multiples.append((int(add[a, x]), int(add[b, z])))
+        span = {(int(add[a, c]), int(add[b, e])) for a, b in span for c, e in multiples}
         kept.append(i)
         if len(kept) == 2 * f.m:
             return kept
@@ -228,12 +235,13 @@ def first_undetectable(table, d_max):
     """(weight, site pairs) of the first undetectable error in the distance
     scan's order (weight, then site subset, then per-site (x, z) index pairs,
     all lexicographic), or None below d_max.  Every error of every subset is
-    tested, with commutation exponents from the scalar trace of products;
+    tested, with commutation exponents read off the trace-of-product table;
     for k > 0 an error must also lie outside ``projective_group``."""
     f, n, p = table.field, table.n, table.field.p
+    tm = f.trmul_table
     pairs = [(a, b) for a in range(f.q) for b in range(f.q) if a or b]
     # syn[s, i, j]: exponent of pair i on site s against generator j
-    syn = np.array([[[(f.trace_mul(a, g.sites[s][1]) - f.trace_mul(b, g.sites[s][0])) % p
+    syn = np.array([[[(tm[a, g.sites[s][1]] - tm[b, g.sites[s][0]]) % p
                       for g in table.gens] for a, b in pairs] for s in range(n)])
     group = projective_group(table) if table.k else set()
     for w in range(1, min(d_max, n) + 1):

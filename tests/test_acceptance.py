@@ -352,11 +352,11 @@ def test_criterion_8_property_suites():
     ok = True
     # field axioms, exhaustive for q <= 9
     for q in (2, 3, 4, 5, 7, 8, 9):
-        f = GF(q)
+        add, mul = GF(q).add_table, GF(q).mul_table
         for a, b, c in itertools.product(range(q), repeat=3):
-            if f.mul(a, f.add(b, c)) != f.add(f.mul(a, b), f.mul(a, c)):
+            if mul[a, add[b, c]] != add[mul[a, b], mul[a, c]]:
                 ok = False
-            if f.add(f.add(a, b), c) != f.add(a, f.add(b, c)):
+            if add[add[a, b], c] != add[a, add[b, c]]:
                 ok = False
     # antisymmetry / bilinearity of the trace-symplectic form on 10^4 random
     # triples; the form ignores the phases, which are drawn all the same

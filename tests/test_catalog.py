@@ -1,5 +1,6 @@
 import fnmatch
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -69,6 +70,14 @@ def test_corrupted_token_names_file_and_line(tmp_path):
         "[bad]\nparams = 2 0 2 2\nexistence = exists\nfile = bad.stabtab\n"
     )
     with pytest.raises(ParseError, match=r"bad\.stabtab:3"):
+        load_catalog(tmp_path)
+
+
+def test_non_integer_params_are_a_parse_error_naming_the_index(tmp_path):
+    index = tmp_path / "index.toml"
+    index.write_text("[ame_5_3]\nparams = 5 x 3 2\n")
+    with pytest.raises(ParseError, match=f"^{re.escape(str(index))}: entry ame_5_3: params "
+                                         "must be 'n k d q' or 'n q'$"):
         load_catalog(tmp_path)
 
 

@@ -166,6 +166,9 @@ def test_catalog_subcommands(capsys):
     assert code == 0 and "n\\q" in out
     code, _, err = run(capsys, "catalog", "show")
     assert code == 2
+    for action in ("list", "grid"):
+        assert run(capsys, "catalog", action, "ame_6_2") == (
+            2, "", f"error: catalog {action} takes no entry id; only catalog show does\n")
 
 
 # -- typed errors: exit 2 with a message, never a traceback or an inf result -------------
@@ -277,6 +280,21 @@ def test_oracle_state_refuses_zero_and_siteless_input(tmp_path, capsys):
         code, out, err = run(capsys, "oracle", "--state", str(state), "--q", "2")
         assert code == 2 and out == ""
         assert message in err
+
+
+def test_oracle_state_passes_any_given_q_to_the_field_check(tmp_path, capsys):
+    state = tmp_path / "state.txt"
+    state.write_text("1 0\n0 0\n")
+    assert run(capsys, "oracle", "--state", str(state), "--q", "0") == (
+        2, "", "error: field size must be >= 2, got 0\n")
+    assert run(capsys, "oracle", "--state", str(state)) == (
+        2, "", "error: --state needs --q to fix the local dimension\n")
+
+
+def test_parse_error_without_a_line_names_the_file(tmp_path, capsys):
+    empty = tmp_path / "empty.stabtab"
+    empty.write_text("# stabtab v1\n")
+    assert run(capsys, "verify", str(empty)) == (2, "", f"error: {empty}: missing code line\n")
 
 
 def test_oracle_refuses_a_file_and_a_state_together(tmp_path, capsys):

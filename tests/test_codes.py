@@ -107,6 +107,11 @@ def test_stabtab_errors_carry_line_numbers():
             stabtab.parse(f"# stabtab v1\n{code_line}\ng1: z1 z1\ng2: x1 x1\n", "bad.stabtab")
     with pytest.raises(ParseError, match="^bad.stabtab:2: generator count 0 is not m"):
         stabtab.parse("# stabtab v1\ncode n=0 q=2\n", "bad.stabtab")
+    # no line to point at: the file name alone, and no prefix without one
+    with pytest.raises(ParseError, match="^bad.stabtab: missing code line$"):
+        stabtab.parse("# stabtab v1\n", "bad.stabtab")
+    with pytest.raises(ParseError, match="^missing code line$"):
+        stabtab.parse("# stabtab v1\n")
 
 
 def test_generator_count_rules():

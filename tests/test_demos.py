@@ -1,5 +1,5 @@
 """Smoke test: every script in demos/ runs to completion from a checkout;
-the dense-oracle demo prints its pinned output byte for byte."""
+each demo with an entry in pinned_outputs.json prints it byte for byte."""
 
 import json
 import os
@@ -11,6 +11,9 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+PINNED = {key: text for key, text in
+          json.loads((ROOT / "tests" / "pinned_outputs.json").read_text()).items()
+          if key.startswith("demos/")}
 
 
 def run_demo(demo):
@@ -28,11 +31,13 @@ def test_demo_runs(demo):
     assert done.stdout.strip()
 
 
-def test_dense_oracle_demo_output_is_pinned():
-    pinned = json.loads((ROOT / "tests" / "pinned_outputs.json").read_text())
-    done = run_demo(ROOT / "demos" / "04_dense_oracle.py")
-    assert (done.returncode, done.stdout) == (0, pinned["demos/04_dense_oracle.py"])
+@pytest.mark.parametrize("key", sorted(PINNED), ids=lambda key: Path(key).name)
+def test_demo_output_is_pinned(key):
+    done = run_demo(ROOT / key)
+    assert (done.returncode, done.stdout) == (0, PINNED[key])
 
 
 def test_demos_are_found():
-    assert DEMOS  # an empty parameter list would skip test_demo_runs silently
+    # an empty parameter list would skip test_demo_runs silently
+    assert DEMOS
+    assert {"demos/01_finite_fields.py", "demos/04_dense_oracle.py"} <= set(PINNED)

@@ -47,7 +47,7 @@ def graph_state(field, adjacency):
     for i in range(n):
         for b in range(1, field.m + 1):
             gens.append(PauliString(field, tuple(
-                (b, 0) if j == i else (0, field.mul(b, adjacency[i][j])) for j in range(n))))
+                (b, 0) if j == i else (0, int(field.mul_table[b, adjacency[i][j]])) for j in range(n))))
     return GeneratorTable(field, n, tuple(gens))
 
 

@@ -15,6 +15,7 @@ from oracles import (
     poly_mul_mod,
     poly_pow,
     poly_trace,
+    smallest_primitive_root,
 )
 
 SMALL_FIELDS = [GF(q) for q in (2, 3, 4, 5, 7, 8, 9)]
@@ -51,36 +52,37 @@ def test_gf4_commuting_xz_warning():
 
 @pytest.mark.parametrize("field", SMALL_FIELDS, ids=lambda f: f"q{f.q}")
 def test_field_axioms_exhaustive(field):
-    q = field.q
-    for a, b in itertools.product(range(q), repeat=2):
-        assert field.add(a, b) == field.add(b, a)
-        assert field.mul(a, b) == field.mul(b, a)
-        assert field.add(a, 0) == a
-        assert field.mul(a, field.one_index) == a
-        assert field.add(a, field.neg(a)) == 0
+    q, add, mul = field.q, field.add_table, field.mul_table
+    for a in range(q):
+        assert add[a, 0] == a
+        assert mul[a, 1] == a  # index 1 is the unit
+        assert list(add[a]).count(0) == 1  # one negative
         if a:
-            assert field.mul(a, field.inv(a)) == field.one_index
+            assert list(mul[a]).count(1) == 1  # one inverse
+    for a, b in itertools.product(range(q), repeat=2):
+        assert add[a, b] == add[b, a]
+        assert mul[a, b] == mul[b, a]
     for a, b, c in itertools.product(range(q), repeat=3):
-        assert field.add(field.add(a, b), c) == field.add(a, field.add(b, c))
-        assert field.mul(field.mul(a, b), c) == field.mul(a, field.mul(b, c))
-        assert field.mul(a, field.add(b, c)) == field.add(field.mul(a, b), field.mul(a, c))
+        assert add[add[a, b], c] == add[a, add[b, c]]
+        assert mul[mul[a, b], c] == mul[a, mul[b, c]]
+        assert mul[a, add[b, c]] == add[mul[a, b], mul[a, c]]
 
 
 def test_field_axioms_randomized_larger_primes():
     rng = random.Random(7)
     for q in (13, 31, 61):
-        f = GF(q)
+        add, mul = GF(q).add_table, GF(q).mul_table
         for _ in range(300):
             a, b, c = (rng.randrange(q) for _ in range(3))
-            assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
-            assert f.add(a, b) == (a + b) % q
-            assert f.mul(a, b) == (a * b) % q
+            assert mul[a, add[b, c]] == add[mul[a, b], mul[a, c]]
+            assert add[a, b] == (a + b) % q
+            assert mul[a, b] == (a * b) % q
 
 
 @pytest.mark.parametrize("field", SMALL_FIELDS, ids=lambda f: f"q{f.q}")
 def test_index_coeff_round_trip(field):
     for i in range(field.q):
-        assert field.index_of_coeffs(field.coeffs(i)) == i
+        assert field.index_of_coeffs(field.coeff_matrix[i]) == i
     # coefficient vectors along the last axis, read mod p
     stacked = np.stack([field.coeff_matrix, field.coeff_matrix + field.p])
     assert field.index_of_coeffs(stacked).tolist() == [list(range(field.q))] * 2
@@ -89,14 +91,13 @@ def test_index_coeff_round_trip(field):
 
 
 def test_prime_inverse_matches_exhaustive_search():
-    f = GF(5)
-    assert f.inv(2) == exhaustive_inverse(2, 5) == 3
+    # each nonzero row of mul_table holds the unit once, at the inverse
+    assert exhaustive_inverse(2, 5) == 3
     for q in (3, 5, 7):
-        f = GF(q)
+        mul = GF(q).mul_table
+        assert 1 not in mul[0]
         for x in range(1, q):
-            assert f.inv(x) == exhaustive_inverse(x, q)
-    with pytest.raises(DomainError):
-        GF(7).inv(0)
+            assert np.flatnonzero(mul[x] == 1).tolist() == [exhaustive_inverse(x, q)]
 
 
 def test_gf4_addition_against_polynomial_oracle():
@@ -107,48 +108,54 @@ def test_gf4_addition_against_polynomial_oracle():
     one = [1, 0]
     s = [(x + y) % 2 for x, y in zip(alpha, one)]
     assert s == list(poly_mul_mod(alpha, alpha, mod, 2))  # alpha^2 = alpha + 1
-    assert f.add(f.alpha_index, f.one_index) == 3  # index 3 <-> alpha^2
+    assert f.add_table[2, 1] == 3  # alpha + 1 is alpha^2 (indices 2, 1 and 3)
 
 
 def test_gf9_power_against_polynomial_oracle():
     mod = [2, 1, 1]  # 2 + x + x^2, low-first
     f = GF(9)
     assert poly_pow([0, 1], 8, mod, 3) == [1, 0]  # alpha^8 = 1
-    assert f.pow(f.alpha_index, 8) == f.one_index
+    power = 1
+    for _ in range(8):
+        power = f.mul_table[power, 2]  # times alpha, index 2
+    assert power == 1
 
 
 @pytest.mark.parametrize("q,m,mod", [(4, 2, [1, 1, 1]), (8, 3, [1, 1, 0, 1]), (9, 2, [2, 1, 1])])
 def test_trace_against_polynomial_oracle(q, m, mod):
     f = GF(q)
     for i in range(q):
-        coeffs = list(f.coeffs(i))
-        assert f.trace(i) == poly_trace(coeffs, mod, f.p, m)
+        assert f.trace_table[i] == poly_trace(f.coeff_matrix[i].tolist(), mod, f.p, m)
 
 
 @pytest.mark.parametrize("field", SUPPORTED_FIELDS, ids=lambda f: f"q{f.q}")
 def test_alpha_has_order_q_minus_1(field):
-    seen = field.one_index
+    # alpha is index 2 in extension fields; a prime field's multiplication
+    # table must give its smallest primitive root the same order
+    alpha = smallest_primitive_root(field.p) if field.m == 1 else 2
+    seen = 1
     for _ in range(field.q - 2):
-        seen = field.mul(seen, field.alpha_index)
-        assert seen != field.one_index
-    assert field.mul(seen, field.alpha_index) == field.one_index
+        seen = field.mul_table[seen, alpha]
+        assert seen != 1
+    assert field.mul_table[seen, alpha] == 1
 
 
 @pytest.mark.parametrize("q", [4, 8, 9])
 def test_tables_against_polynomial_oracle(q):
     f, mod = GF(q), PINNED_LOW_FIRST[q]
     p, m = f.p, f.m
-    assert f.coeffs(0) == (0,) * m
+    coeffs = f.coeff_matrix.tolist()
+    assert coeffs[0] == [0] * m
     for e in range(q - 1):  # index e+1 is alpha**e
-        assert list(f.coeffs(e + 1)) == poly_pow([0, 1], e, mod, p)
+        assert coeffs[e + 1] == poly_pow([0, 1], e, mod, p)
     for i, j in itertools.product(range(q), repeat=2):
-        a, b = list(f.coeffs(i)), list(f.coeffs(j))
-        assert list(f.coeffs(f.add_table[i, j])) == poly_add(a, b, p)
+        a, b = coeffs[i], coeffs[j]
+        assert coeffs[f.add_table[i, j]] == poly_add(a, b, p)
         prod = poly_mul_mod(a, b, mod, p)
-        assert list(f.coeffs(f.mul_table[i, j])) == prod
+        assert coeffs[f.mul_table[i, j]] == prod
         assert f.trmul_table[i, j] == poly_trace(prod, mod, p, m)
     for i in range(q):
-        assert f.trace_table[i] == poly_trace(list(f.coeffs(i)), mod, p, m)
+        assert f.trace_table[i] == poly_trace(coeffs[i], mod, p, m)
 
 
 @pytest.mark.parametrize("q", [4, 8, 9])
@@ -173,25 +180,23 @@ def test_modulus_accepted_exactly_when_primitive(q):
 
 
 def test_trace_examples():
-    assert GF(4).trace(1) == 0  # 1 + 1^2 over Z_2
-    assert GF(9).trace(1) == 2  # 1 + 1 mod 3
+    assert GF(4).trace_table[1] == 0  # 1 + 1^2 over Z_2
+    assert GF(9).trace_table[1] == 2  # 1 + 1 mod 3
     for f in SMALL_FIELDS:
-        assert f.trace(0) == 0
-    f7 = GF(7)
-    for x in range(7):
-        assert f7.trace(x) == x  # identity on prime fields
+        assert f.trace_table[0] == 0
+    assert GF(7).trace_table.tolist() == list(range(7))  # identity on prime fields
 
 
 @pytest.mark.parametrize("field", SMALL_FIELDS, ids=lambda f: f"q{f.q}")
 def test_trace_linear_and_nondegenerate(field):
-    p = field.p
+    p, tr = field.p, field.trace_table
     for c in range(p):
         c_idx = field.index_of_coeffs([c] + [0] * (field.m - 1))
         for x, y in itertools.product(range(field.q), repeat=2):
-            lhs = field.trace(field.add(field.mul(c_idx, x), y))
-            assert lhs == (c * field.trace(x) + field.trace(y)) % p
+            lhs = tr[field.add_table[field.mul_table[c_idx, x], y]]
+            assert lhs == (c * tr[x] + tr[y]) % p
     for x in range(1, field.q):
-        assert any(field.trace_mul(x, y) for y in range(field.q)), "degenerate trace"
+        assert field.trmul_table[x].any(), "degenerate trace"
 
 
 def test_field_identity_and_caching():

@@ -73,7 +73,7 @@ def twin_graph_table(field, n, seed):
     for j in range(n):
         adj[twin][j] = adj[j][twin] = 0 if j in (twin, orig) else adj[orig][j]
     rows = GeneratorTable(field, n, tuple(
-        PauliString(field, tuple((b, 0) if j == i else (0, field.mul(b, adj[i][j]))
+        PauliString(field, tuple((b, 0) if j == i else (0, int(field.mul_table[b, adj[i][j]]))
                                  for j in range(n)))
         for i in range(n) for b in range(1, m + 1))).symplectic_matrix()
     while True:
