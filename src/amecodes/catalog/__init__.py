@@ -78,6 +78,10 @@ def _parse_index(text: str, filename: str) -> list[CatalogEntry]:
         else:
             raise ParseError(f"entry {current_id}: params must be 'n k d q' or 'n q'",
                              filename)
+        try:  # a grid cell as the trivial [[n, 0, 1]]_q: n >= 1 and q >= 2
+            CodeParams(n, 0 if k is None else k, 1 if d is None else d, q)
+        except DomainError as exc:
+            raise ParseError(f"entry {current_id}: {exc}", filename) from None
         existence = current.pop("existence", EXISTS)
         if existence not in _MARKERS:
             raise ParseError(f"entry {current_id}: bad existence {existence!r}", filename)

@@ -145,6 +145,12 @@ def cmd_children(args) -> int:
     return PASS
 
 
+def _require_entropy_sizes(sizes, n: int) -> None:
+    """DomainError when an --entropy-subsets size leaves no sites outside."""
+    if sizes and max(sizes) >= n:
+        raise DomainError(f"--entropy-subsets sizes must be below n={n}, got {max(sizes)}")
+
+
 def cmd_oracle(args) -> int:
     if args.file and args.state:
         raise DomainError("pass a stabtab file or --state with --q, not both")
@@ -174,6 +180,7 @@ def cmd_oracle(args) -> int:
         n = round(math.log(len(amps), args.q))
         if args.q**n != len(amps):
             raise DomainError(f"{len(amps)} amplitudes is not a power of q={args.q}")
+        _require_entropy_sizes(args.entropy_subsets, n)
         vec = np.asarray(amps)
         if not np.isfinite(vec).all():
             raise DomainError("state amplitudes must be finite numbers")
@@ -187,13 +194,11 @@ def cmd_oracle(args) -> int:
         if not args.file:
             raise DomainError("pass a stabtab file or --state with --q")
         table = stabtab.parse_file(args.file)
+        _require_entropy_sizes(args.entropy_subsets, table.n)
         cw = expand_stabilizer(table)
         print(f"expanded {table.claimed.label() if table.claimed else 'table'}: "
               f"{cw.K} codeword(s) on {cw.n} sites")
-    sizes = args.entropy_subsets or [1]
-    for size in sizes:
-        if size >= cw.n:
-            continue
+    for size in args.entropy_subsets or ([1] if cw.n > 1 else []):  # 1 site: no default
         ents = [reduced_entropy(cw.words[0], a)
                 for a in itertools.combinations(range(cw.n), size)]
         print(f"entropy |A|={size}: min {min(ents):.6f}  max {max(ents):.6f} bits")

@@ -13,7 +13,7 @@ and distance (a scan over weighted errors).  Distance semantics:
   every generator that lies outside the group (a nontrivial logical).
 
 Scans partition cleanly by weight class and are deterministic: errors
-are visited in the lexicographic order of :func:`~amecodes.pauli.enumerate_errors`.
+are visited in the error order stated in :mod:`amecodes.pauli`.
 A syndrome is the vector of commutation exponents against the N
 generators, summed over an error's sites.  For p = 2 (q = 2, 4, 8) it is
 a bit vector, packed by :func:`~amecodes.linalg.pack_bits` into
@@ -51,7 +51,7 @@ import numpy as np
 from . import linalg
 from .errors import DomainError, ResourceBudgetError
 from .fields import Field
-from .pauli import PauliString, error_count, sites_from_matrix
+from .pauli import PauliString, error_count, error_on, sites_from_matrix
 
 DEFAULT_DISTANCE_BUDGET = 10**9
 # errors, or kernel combinations, a distance scan holds at once; classes
@@ -113,7 +113,7 @@ class GeneratorTable:
     The expected generator count is m*(n-k) (m = 1 for prime q); k is
     recovered from the count.  ``claimed`` carries the parameters stated
     by the source, if any.  The rows' Z_p symplectic matrix is built once,
-    here, and is what every kernel reads; the strings keep text and phases.
+    here, and is what every kernel reads; the strings keep the text form.
     """
 
     field: Field
@@ -145,7 +145,7 @@ class GeneratorTable:
     def from_matrix(
         cls, field: Field, n: int, mat, claimed: CodeParams | None = None
     ) -> "GeneratorTable":
-        """The table whose rows are the Z_p vectors of ``mat``, as phase-0 strings."""
+        """The table whose rows are the Z_p vectors of ``mat``."""
         gens = tuple(PauliString(field, sites) for sites in sites_from_matrix(field, mat, n))
         return cls(field, n, gens, claimed)
 
@@ -154,8 +154,8 @@ class GeneratorTable:
         return self.n - len(self.gens) // self.field.m
 
     def symplectic_matrix(self) -> np.ndarray:
-        """Read-only N x 2mn matrix over Z_p, one generator per row (phases
-        dropped), per-site blocks [x coeffs | z coeffs]."""
+        """Read-only N x 2mn matrix over Z_p, one generator per row,
+        per-site blocks [x coeffs | z coeffs]."""
         return self._matrix
 
     def relabel(self, claimed: CodeParams | None) -> "GeneratorTable":
@@ -236,8 +236,8 @@ def find_min_undetectable(
     p, m, n, q = f.p, f.m, table.n, f.q
     n_pairs = q * q - 1
     n_gens = len(table.gens)
-    # Z_p blocks of the nonzero site pairs (a, b), in enumerate_errors order,
-    # and the syndrome of each on each site: site_syn[s, pair, generator]
+    # Z_p blocks of the nonzero site pairs (a, b), digit t = a*q + b - 1 as in
+    # pauli's error order, and the syndrome of each on each site: site_syn[s, t, generator]
     pairs = [(a, b) for a in range(q) for b in range(q) if a or b]
     pair_vecs = f.coeff_matrix[np.array(pairs)].reshape(n_pairs, 2 * m)
     site_map = _commutation_map(table).reshape(n, 2 * m, n_gens)
@@ -267,7 +267,7 @@ def find_min_undetectable(
         vec = pair_vecs[np.asarray(digits)].reshape(1, -1)
         if k > 0 and degenerate(sites, vec):
             return None  # a stabilizer element: degenerate, not a logical
-        return PauliString.from_symplectic(f, spread(sites, vec)[0], n)
+        return error_on(f, n, sites, digits)
 
     def kernel_witness(sites, basis):
         """First undetectable error, in flat order, with full support on

@@ -8,8 +8,8 @@ Knill-Laflamme verification, reduced-state entropies.
 Conventions: omega = exp(2*pi*i/p).  The Knill-Laflamme and distance
 scans batch the errors of one site subset, so a code-space matrix
 element may differ from a one-error-at-a-time sum in its last bits;
-what is stable is the witness, the first flagged error in
-enumerate_errors order, under fixed tolerances (KL_TOL for the scalar
+what is stable is the witness, the first flagged error in the error
+order stated in ``pauli``, under fixed tolerances (KL_TOL for the scalar
 test, 1/2 for a state's expectation value).  A CodewordSet records, per
 test, the weights its scans have cleared and the witness they found, so
 Knill-Laflamme checks and the dense distance on one set share one scan:
@@ -33,7 +33,7 @@ import numpy as np
 from .codes import GeneratorTable, require_stabilizer
 from .errors import DomainError, ResourceBudgetError
 from .fields import Field
-from .pauli import PauliString, StateVector, dense_action
+from .pauli import PauliString, StateVector, error_on
 
 DENSE_BUDGET = 4096
 KL_TOL = 1e-9
@@ -94,10 +94,18 @@ def _project_plus_one(perm: np.ndarray, factor: np.ndarray, p: int,
 
 
 def _lifted_action(g: PauliString) -> tuple[np.ndarray, np.ndarray]:
-    """dense_action of g, lifted by i**tr(a*b) per site when p = 2 to order p."""
-    perm, factor = dense_action(g)
-    if g.field.p == 2:
-        factor = factor * (1j) ** sum(int(g.field.trmul_table[a, b]) for a, b in g.sites)
+    """The dense action of g as (perm, factor), (g v)[perm[j]] = factor[j] * v[j],
+    lifted by i**tr(a*b) per site when p = 2 so that g has order p."""
+    f = g.field
+    # one site at a time, site 0 ending up the most significant digit
+    perm = np.zeros(1, dtype=np.int64)
+    phase = np.zeros(1, dtype=np.int64)
+    for a, b in g.sites:
+        perm = np.add.outer(perm * f.q, f.add_table[a]).ravel()
+        phase = np.add.outer(phase, f.trmul_table[b]).ravel()
+    factor = np.exp(2j * np.pi / f.p) ** (phase % f.p)
+    if f.p == 2:
+        factor = factor * (1j) ** sum(int(f.trmul_table[a, b]) for a, b in g.sites)
     return perm, factor
 
 
@@ -167,7 +175,7 @@ def _digits(index, q: int, w: int) -> np.ndarray:
 def _x_block(field: Field, w: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     """Tables of the X parts lo..hi-1 on w sites: ``lp[x, a]``, the index of
     a + x, and ``valid[x, z]``, true when X_x Z_z acts on all w sites.  Built
-    one site at a time from ``add_table``, as ``dense_action`` builds its
+    one site at a time from ``add_table``, as ``_lifted_action`` builds its
     permutation."""
     q = field.q
     lp = np.zeros((hi - lo, 1), dtype=np.int64)
@@ -180,7 +188,7 @@ def _x_block(field: Field, w: int, lo: int, hi: int) -> tuple[np.ndarray, np.nda
 
 
 def _first_error(c: CodewordSet, w_max: int, scalar: bool) -> PauliString | None:
-    """The first error of weight 1..w_max, in enumerate_errors order, whose
+    """The first error of weight 1..w_max, in ``pauli``'s error order, whose
     code-space matrix G = <w_m| E |w_m'> is flagged, or None.  With
     ``scalar`` G is flagged when max |G - (tr G / K) I| > KL_TOL, which a
     1 x 1 matrix never is; otherwise when |G_00| > 1/2.
@@ -201,7 +209,7 @@ def _first_error(c: CodewordSet, w_max: int, scalar: bool) -> PauliString | None
     D_x[a], where D_x[a, m, m'] = sum_r conj(W[a + x, m, r]) W[a, m', r].
     So a block of X parts costs one gather of W and one batched product,
     and all their Z parts one q x q character transform per site.  The
-    subset's flagged error first in enumerate_errors order is the witness.
+    subset's flagged error first in that order is the witness.
 
     Memory: a block of X parts is sized so that no array exceeds
     max(_BLOCK_ENTRIES, K q^n + K^2) entries, the larger being a per-error
@@ -260,10 +268,7 @@ def _first_error(c: CodewordSet, w_max: int, scalar: bool) -> PauliString | None
                     if best is None or flat[i] < best[0]:
                         best = flat[i], pairs[i]
             if best is not None:
-                full = [(0, 0)] * n
-                for s, pair in zip(sites, best[1].tolist()):
-                    full[s] = divmod(pair + 1, q)
-                witness = PauliString(f, tuple(full))
+                witness = error_on(f, n, sites, best[1])
                 c._scans[scalar] = (w - 1, witness)
                 return witness
         c._scans[scalar] = (w, None)

@@ -1,11 +1,16 @@
 """Generalized Pauli strings over Z_p and GF(p^m) in symplectic form.
 
 A string is a per-site pair of field elements (a, b) standing for the
-site operator X_a Z_b, together with a global phase exponent t, the
-whole operator being omega**t * prod_i X_{a_i} Z_{b_i} for
-omega = exp(2*pi*i/p).  Each site is stored X-part before Z-part.
-Group-level comparisons elsewhere in the package are projective (phases
-ignored); the exponent is kept for the text form and the dense action.
+site operator X_a Z_b, X-part before Z-part, with no global phase: the
+package's tables carry no signs, and the group algebra runs on the
+tables' Z_p matrices.  A string is kept for the text form and for
+witnesses.
+
+Error order, the one every scan's witness follows: by weight, then site
+subsets in lexicographic order, then the digit tuples on a subset in
+lexicographic order, its lowest site first.  Digit t on a site stands
+for the nonzero pair (a, b) with t = a*q + b - 1; ``error_on`` is the one
+place that turns digits into a string.
 
 Site token grammar, shared with the stabilizer-table file format:
 ``i`` is the identity, ``x<e>``, ``z<e>`` and ``x<e>z<e>`` carry the
@@ -32,32 +37,27 @@ _TOKEN_RE = re.compile(r"^(?:i|(?=[xz])(?:x(\d+))?(?:z(\d+))?)$")
 
 @dataclass(frozen=True)
 class PauliString:
-    """An n-site generalized Pauli operator in symplectic representation.
-
-    ``sites`` holds per-site element-index pairs (x_part, z_part);
-    ``phase_exp`` is the exponent of omega = exp(2*pi*i/p).
-    """
+    """An n-site generalized Pauli operator in symplectic representation:
+    ``sites`` holds per-site element-index pairs (x_part, z_part)."""
 
     field: Field
     sites: tuple[tuple[int, int], ...]
-    phase_exp: int = 0
 
     def __post_init__(self):
         q = self.field.q
         for a, b in self.sites:
             if not (0 <= a < q and 0 <= b < q):
                 raise DomainError(f"site pair ({a},{b}) out of range for q={q}")
-        object.__setattr__(self, "phase_exp", self.phase_exp % self.field.p)
 
     # -- constructors -----------------------------------------------------
 
     @classmethod
-    def from_tokens(cls, field: Field, tokens: Sequence[str], phase_exp: int = 0) -> "PauliString":
-        return cls(field, tuple(parse_site_token(t, field.q) for t in tokens), phase_exp)
+    def from_tokens(cls, field: Field, tokens: Sequence[str]) -> "PauliString":
+        return cls(field, tuple(parse_site_token(t, field.q) for t in tokens))
 
     @classmethod
     def from_symplectic(cls, field: Field, vec: Sequence[int], n: int) -> "PauliString":
-        """The phase-free string with Z_p coefficients ``vec``, per-site blocks [x | z]."""
+        """The string with Z_p coefficients ``vec``, per-site blocks [x | z]."""
         return cls(field, sites_from_matrix(field, vec, n)[0])
 
     # -- basics ------------------------------------------------------------
@@ -107,26 +107,24 @@ def emit_site_token(a: int, b: int) -> str:
     return f"x{a}z{b}"
 
 
-def enumerate_errors(field: Field, n: int, weight: int) -> Iterator[PauliString]:
-    """All phase-free strings of exactly the given weight, each once.
+def error_on(field: Field, n: int, sites: Sequence[int], digits: Sequence[int]) -> PauliString:
+    """The n-site string with pair digit ``digits[i]`` on ``sites[i]`` and
+    the identity elsewhere; digit t stands for (a, b) = divmod(t + 1, q)."""
+    full = [(0, 0)] * n
+    for s, t in zip(sites, digits):
+        full[s] = divmod(int(t) + 1, field.q)
+    return PauliString(field, tuple(full))
 
-    Deterministic lexicographic order over (site subset, element pairs),
-    so scans are reproducible and resumable; the count is
-    C(n, weight) * (q**2 - 1)**weight.
-    """
+
+def enumerate_errors(field: Field, n: int, weight: int) -> Iterator[PauliString]:
+    """All strings of exactly the given weight, each once, in the error
+    order of the module docstring; the count is
+    C(n, weight) * (q**2 - 1)**weight."""
     if weight < 0 or weight > n:
         raise DomainError(f"weight {weight} out of range for n={n}")
-    if weight == 0:
-        yield PauliString(field, ((0, 0),) * n)
-        return
-    q = field.q
-    pairs = [(a, b) for a in range(q) for b in range(q) if a or b]
     for sites in itertools.combinations(range(n), weight):
-        for assignment in itertools.product(pairs, repeat=weight):
-            full = [(0, 0)] * n
-            for s, ab in zip(sites, assignment):
-                full[s] = ab
-            yield PauliString(field, tuple(full))
+        for digits in itertools.product(range(field.q**2 - 1), repeat=weight):
+            yield error_on(field, n, sites, digits)
 
 
 def error_count(field: Field, n: int, weight: int) -> int:
@@ -160,17 +158,3 @@ class StateVector:
     def inner(self, other: "StateVector") -> complex:
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
-
-def dense_action(op: PauliString) -> tuple[np.ndarray, np.ndarray]:
-    """The exact dense action, global phase included: (perm, factor) with
-    (U v)[perm[j]] = factor[j] * v[j], arrays of length q**n that the caller bounds.
-    """
-    f = op.field
-    # one site at a time, site 0 ending up the most significant digit
-    perm = np.zeros(1, dtype=np.int64)
-    phase = np.zeros(1, dtype=np.int64)
-    for a, b in op.sites:
-        perm = np.add.outer(perm * f.q, f.add_table[a]).ravel()
-        phase = np.add.outer(phase, f.trmul_table[b]).ravel()
-    omega = np.exp(2j * np.pi / f.p)
-    return perm, omega ** (phase % f.p) * omega**op.phase_exp

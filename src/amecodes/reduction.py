@@ -17,8 +17,7 @@ code follows by deleting the last 2m rows and the first column, turning
 
 Canonicalization performs only legal row operations (replacing a row by
 a product of powers of rows with an invertible coefficient matrix, plus
-permutations), so the generated projective group never changes; the
-output drops phase exponents, which group-level comparisons ignore.
+permutations), so the generated projective group never changes.
 The elimination is sequential per column by nature; canonicalize many
 tables in parallel from the caller if needed.
 """

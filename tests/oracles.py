@@ -107,6 +107,13 @@ def dense_pauli(field, sites, phase_exp=0):
     return total
 
 
+def lifted_pauli(field, sites):
+    """dense_pauli(field, sites) times i**tr(a*b) per site when p = 2: the
+    order-p representative of each string that an eigenspace projector needs."""
+    lift = sum(int(field.trmul_table[a, b]) for a, b in sites) if field.p == 2 else 0
+    return (1j) ** lift * dense_pauli(field, sites)
+
+
 # -- the Pauli group algebra, one site at a time ------------------------------
 #
 # An element is (sites, phase): omega**phase * prod_i X_{a_i} Z_{b_i} for
@@ -172,6 +179,21 @@ def rref_rows(mat, p):
 # -- exhaustive searches -----------------------------------------------------
 
 
+def all_errors(q, n, weight):
+    """Site tuples of every error of the given weight: site subsets in
+    lexicographic order, then one nonzero pair (a, b) per subset site, the
+    pairs in (a, b) order and their tuples in product order."""
+    pairs = [(a, b) for a in range(q) for b in range(q) if a or b]
+    out = []
+    for subset in itertools.combinations(range(n), weight):
+        for assignment in itertools.product(pairs, repeat=weight):
+            full = [(0, 0)] * n
+            for s, ab in zip(subset, assignment):
+                full[s] = ab
+            out.append(tuple(full))
+    return out
+
+
 def exhaustive_inverse(x, q):
     """Multiplicative inverse in Z_q by scanning (prime q)."""
     for y in range(1, q):
@@ -188,7 +210,7 @@ def smallest_primitive_root(p):
 def projective_group(table):
     """All products of generator powers as a set of phase-free site tuples."""
     f = table.field
-    gens = [(g.sites, g.phase_exp) for g in table.gens]
+    gens = [(g.sites, 0) for g in table.gens]
     seen = set()
     for powers in itertools.product(range(f.p), repeat=len(gens)):
         el = (((0, 0),) * table.n, 0)

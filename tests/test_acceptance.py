@@ -359,16 +359,14 @@ def test_criterion_8_property_suites():
             if add[add[a, b], c] != add[a, add[b, c]]:
                 ok = False
     # antisymmetry / bilinearity of the trace-symplectic form on 10^4 random
-    # triples; the form ignores the phases, which are drawn all the same
+    # triples
     rng = random.Random(606)
     fields = [GF(2), GF(3), GF(9)]
     for _ in range(10_000):
         f = rng.choice(fields)
         n = rng.randrange(1, 5)
-        mk = lambda: PauliString(
-            f, tuple((rng.randrange(f.q), rng.randrange(f.q)) for _ in range(n)),
-            rng.randrange(f.p))
-        a, b, c = (s.sites for s in (mk(), mk(), mk()))
+        mk = lambda: tuple((rng.randrange(f.q), rng.randrange(f.q)) for _ in range(n))
+        a, b, c = mk(), mk(), mk()
         ac = tuple((int(f.add_table[x, y]), int(f.add_table[z, w]))
                    for (x, z), (y, w) in zip(a, c))
         s_ab, s_cb, s_acb = commutation_form(f, [a, c, ac], b)

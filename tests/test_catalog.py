@@ -81,6 +81,25 @@ def test_non_integer_params_are_a_parse_error_naming_the_index(tmp_path):
         load_catalog(tmp_path)
 
 
+def test_out_of_range_table_params_are_a_parse_error_naming_the_entry(tmp_path):
+    index = tmp_path / "index.toml"
+    index.write_text("[t]\nparams = 2 0 -2 2\n")
+    with pytest.raises(ParseError, match=f"^{re.escape(str(index))}: entry t: "
+                                         "d must be >= 1, got -2$"):
+        load_catalog(tmp_path, verify=False)
+
+
+def test_out_of_range_grid_cells_are_a_parse_error_naming_the_entry(tmp_path):
+    index = tmp_path / "index.toml"
+    for params, message in (("-5 3", "n must be >= 1, got -5"), ("4 1", "q must be >= 2, got 1")):
+        index.write_text(f"[grid_x]\nparams = {params}\nexistence = unknown\n")
+        with pytest.raises(ParseError, match=f"^{re.escape(str(index))}: entry grid_x: "
+                                             f"{message}$"):
+            load_catalog(tmp_path)
+    index.write_text("[grid_4_6]\nparams = 4 6\nexistence = unknown\n")
+    assert [(e.n, e.q) for e in load_catalog(tmp_path)] == [(4, 6)]  # q = 6 stays a cell
+
+
 def test_catalog_rejects_index_table_mismatch(tmp_path):
     good = (catalog_dir() / "ame_2_2.stabtab").read_text()
     (tmp_path / "t.stabtab").write_text(good)

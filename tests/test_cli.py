@@ -391,6 +391,22 @@ def test_oracle_entropy_subsets_below_one_exit_2(capsys):
     assert code == 0 and "entropy |A|=1:" in out
 
 
+def test_oracle_entropy_subsets_of_n_or_more_sites_exit_2(tmp_path, capsys):
+    # refused as soon as n is known, before anything is printed
+    code, out, err = run(capsys, "oracle", str(catalog_dir() / "ame_3_2.stabtab"),
+                         "--entropy-subsets", "3", "7")
+    assert (code, out, err) == (2, "", "error: --entropy-subsets sizes must be below n=3, "
+                                       "got 7\n")
+    state = tmp_path / "state.txt"
+    state.write_text("1 0\n0 0\n")
+    assert run(capsys, "oracle", "--state", str(state), "--q", "2",
+               "--entropy-subsets", "1") == (
+        2, "", "error: --entropy-subsets sizes must be below n=1, got 1\n")
+    # the default size 1 on one site prints no entropy line
+    assert run(capsys, "oracle", "--state", str(state), "--q", "2") == (
+        0, "state: n=1, q=2 (normalized input)\n", "")
+
+
 def test_oracle_kl_d_beyond_n(capsys):
     # a state passes every weight <= n, then the range error; a code fails first
     code, out, err = run(capsys, "oracle", str(catalog_dir() / "ame_5_2.stabtab"), "--kl-d", "7")

@@ -1,6 +1,7 @@
-"""Property tests: ``pauli.dense_action`` against the Kronecker-built
-matrices of ``tests/oracles.dense_pauli``, phases included, and the
-oracle's order-p Hermitian lift that its eigenspace projector relies on.
+"""Property tests: the oracle's dense action ``_lifted_action`` against the
+Kronecker-built matrices of ``tests/oracles.dense_pauli``, lifted by
+i**tr(a*b) per site when p = 2, and the order p and Hermiticity that the
+eigenspace projector relies on.
 
 Covers every field family the package ships (prime fields and GF(4),
 GF(8), GF(9)) at every dimension the dense oracle accepts, q^n <= 4096.
@@ -12,8 +13,8 @@ from hypothesis import strategies as st
 
 from amecodes.fields import GF
 from amecodes.oracle import DENSE_BUDGET, _lifted_action
-from amecodes.pauli import PauliString, dense_action
-from oracles import dense_pauli
+from amecodes.pauli import PauliString
+from oracles import lifted_pauli
 
 FIELDS = [GF(q) for q in (2, 3, 5, 7, 4, 8, 9)]
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -26,17 +27,17 @@ def operators(draw, fields=FIELDS):
     n = draw(st.integers(1, 4).filter(lambda n: field.q**n <= DENSE_BUDGET))
     pair = st.tuples(st.integers(0, field.q - 1), st.integers(0, field.q - 1))
     sites = draw(st.lists(pair, min_size=n, max_size=n))
-    return PauliString(field, tuple(sites), draw(st.integers(0, field.p - 1)))
+    return PauliString(field, tuple(sites))
 
 
 def kron_apply(op, vec):
-    """dense_pauli(op.field, op.sites, op.phase_exp) @ vec, applying one
-    single-site factor per axis of vec reshaped to (q,) * n (site 0 first)."""
+    """lifted_pauli(op.field, op.sites) @ vec, applying one single-site
+    factor per axis of vec reshaped to (q,) * n (site 0 first)."""
     f = op.field
     out = vec.reshape((f.q,) * op.n)
     for axis, site in enumerate(op.sites):
-        out = np.moveaxis(np.tensordot(dense_pauli(f, [site]), out, axes=([1], [axis])), 0, axis)
-    return np.exp(2j * np.pi * op.phase_exp / f.p) * out.reshape(-1)
+        out = np.moveaxis(np.tensordot(lifted_pauli(f, [site]), out, axes=([1], [axis])), 0, axis)
+    return out.reshape(-1)
 
 
 def apply_action(perm, factor, vec):
@@ -54,10 +55,10 @@ def test_dense_action_is_the_kronecker_matrix(op):
     src = np.arange(1, dim + 1, dtype=np.complex128)
     image = kron_apply(op, src)
     if dim <= FULL_MATRIX_DIM:
-        full = dense_pauli(op.field, op.sites, op.phase_exp)
+        full = lifted_pauli(op.field, op.sites)
         assert np.allclose(image, full @ src, atol=1e-10)
     moved = np.rint(np.abs(image)).astype(np.int64) - 1
-    perm, factor = dense_action(op)
+    perm, factor = _lifted_action(op)
     assert np.array_equal(perm[moved], np.arange(dim))
     assert np.allclose(factor[moved], image / (moved + 1), atol=1e-10)
 

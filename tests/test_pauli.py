@@ -5,30 +5,32 @@ import pytest
 
 from amecodes.errors import DomainError
 from amecodes.fields import GF
-from amecodes.pauli import (PauliString, StateVector, dense_action, emit_site_token,
-                            enumerate_errors, error_count, parse_site_token)
+from amecodes.oracle import _lifted_action
+from amecodes.pauli import (PauliString, StateVector, emit_site_token, enumerate_errors,
+                            error_count, parse_site_token)
 
-from oracles import commutation_exp, dense_pauli, pauli_mul, pauli_pow
-
-
-def P(field, tokens, phase=0):
-    return PauliString.from_tokens(field, tokens.split(), phase)
+from oracles import (all_errors, commutation_exp, dense_pauli, lifted_pauli, pauli_mul,
+                     pauli_pow)
 
 
-def el(s):
+def P(field, tokens):
+    return PauliString.from_tokens(field, tokens.split())
+
+
+def el(field, tokens, phase=0):
     """The (sites, phase) element of the scalar algebra in ``oracles``."""
-    return s.sites, s.phase_exp
+    return P(field, tokens).sites, phase
 
 
 def identity(n):
     return ((0, 0),) * n, 0
 
 
-def random_string(field, n, rng):
+def random_element(field, n, rng):
     sites = tuple(
         (rng.randrange(field.q), rng.randrange(field.q)) for _ in range(n)
     )
-    return PauliString(field, sites, rng.randrange(field.p))
+    return sites, rng.randrange(field.p)
 
 
 # -- the scalar product and phases, against Kronecker matrices -----------------------
@@ -36,14 +38,14 @@ def random_string(field, n, rng):
 
 def test_identity_is_neutral():
     f = GF(3)
-    q = el(P(f, "x1z2 i z1", 2))
+    q = el(f, "x1z2 i z1", 2)
     assert pauli_mul(f, identity(3), q) == q
     assert pauli_mul(f, q, identity(3)) == q
 
 
 def test_qubit_zx_reordering_phase():
     f = GF(2)
-    z, x = el(P(f, "z1")), el(P(f, "x1"))
+    z, x = el(f, "z1"), el(f, "x1")
     assert pauli_mul(f, z, x) == (((1, 1),), 1)  # ZX = omega XZ
     assert pauli_mul(f, x, z) == (((1, 1),), 0)
     mz, mx = dense_pauli(f, z[0]), dense_pauli(f, x[0])
@@ -52,19 +54,19 @@ def test_qubit_zx_reordering_phase():
 
 def test_qutrit_x_squared_times_x_squared():
     f = GF(3)
-    x2 = el(P(f, "x2"))
+    x2 = el(f, "x2")
     assert pauli_mul(f, x2, x2) == (((1, 0),), 0)  # X^4 = X
 
 
 def test_pow():
     f3 = GF(3)
-    s = el(P(f3, "x1z1 z2"))
+    s = el(f3, "x1z1 z2")
     assert pauli_pow(f3, s, 1) == s
     assert pauli_pow(f3, s, 0) == identity(2)
     f2 = GF(2)
-    assert pauli_pow(f2, el(P(f2, "x1")), 2) == identity(1)
+    assert pauli_pow(f2, el(f2, "x1"), 2) == identity(1)
     # q=3 single site: (XZ)^3 = I up to phase; dense oracle for the phase
-    xz = el(P(f3, "x1z1"))
+    xz = el(f3, "x1z1")
     sites, phase = pauli_pow(f3, xz, 3)
     assert sites == ((0, 0),)
     m = dense_pauli(f3, xz[0])
@@ -97,7 +99,7 @@ def test_commutation_antisymmetry_and_bilinearity_random():
     for _ in range(10_000):
         f = rng.choice(fields)
         n = rng.randrange(1, 5)
-        a, b, c = (el(random_string(f, n, rng)) for _ in range(3))
+        a, b, c = (random_element(f, n, rng) for _ in range(3))
         s_ab = commutation_exp(f, a[0], b[0])
         assert s_ab == (-commutation_exp(f, b[0], a[0])) % f.p
         lhs = commutation_exp(f, pauli_mul(f, a, c)[0], b[0])
@@ -106,28 +108,26 @@ def test_commutation_antisymmetry_and_bilinearity_random():
 
 def test_matrix_faithfulness_small_fields():
     # dense matrices of products agree entrywise with matrix products,
-    # including phases, for q <= 4 and n <= 3; both against independent
-    # Kronecker-built matrices and through the package's own dense_action
+    # including phases, for q <= 4 and n <= 3; and the oracle's dense action
+    # of each factor and of the product is its Kronecker-built matrix, lifted
+    # by i**tr(a*b) per site when p = 2
     rng = random.Random(5)
     for q in (2, 3, 4):
         f = GF(q)
         for n in (1, 2, 3):
             for _ in range(8):
-                a, b = random_string(f, n, rng), random_string(f, n, rng)
-                ma = dense_pauli(f, a.sites, a.phase_exp)
-                mb = dense_pauli(f, b.sites, b.phase_exp)
-                prod = PauliString(f, *pauli_mul(f, el(a), el(b)))
-                mprod = dense_pauli(f, prod.sites, prod.phase_exp)
-                assert np.allclose(mprod, ma @ mb, atol=1e-10)
+                a, b = random_element(f, n, rng), random_element(f, n, rng)
+                prod = pauli_mul(f, a, b)
+                mprod = dense_pauli(f, *prod)
+                assert np.allclose(mprod, dense_pauli(f, *a) @ dense_pauli(f, *b), atol=1e-10)
                 amps = rng_state(f, n, rng)
-                composed = apply_dense(a, apply_dense(b, amps))
-                direct = apply_dense(prod, amps)
-                assert np.allclose(composed, direct, atol=1e-10)
-                assert np.allclose(direct, mprod @ amps, atol=1e-10)
+                for sites, _ in (a, b, prod):
+                    assert np.allclose(apply_dense(PauliString(f, sites), amps),
+                                       lifted_pauli(f, sites) @ amps, atol=1e-10)
 
 
 def apply_dense(op, amps):
-    perm, factor = dense_action(op)
+    perm, factor = _lifted_action(op)
     out = np.zeros_like(amps)
     out[perm] = factor * amps
     return out
@@ -152,9 +152,10 @@ def test_weight_subadditive_under_products():
     rng = random.Random(41)
     for _ in range(500):
         f = rng.choice([GF(2), GF(3), GF(9)])
-        a, b = random_string(f, 4, rng), random_string(f, 4, rng)
-        prod = PauliString(f, *pauli_mul(f, el(a), el(b)))
-        assert prod.weight() <= a.weight() + b.weight()
+        a, b = random_element(f, 4, rng), random_element(f, 4, rng)
+        prod = pauli_mul(f, a, b)
+        assert PauliString(f, prod[0]).weight() <= sum(
+            PauliString(f, sites).weight() for sites, _ in (a, b))
 
 
 def test_enumerate_counts_and_order():
@@ -171,9 +172,17 @@ def test_enumerate_counts_and_order():
     assert sum(1 for _ in enumerate_errors(GF(3), 3, 2)) == error_count(GF(3), 3, 2)
     seen = set(e.sites for e in enumerate_errors(GF(3), 3, 2))
     assert len(seen) == error_count(GF(3), 3, 2)  # each exactly once
-    assert all(e.phase_exp == 0 for e in enumerate_errors(GF(2), 3, 1))
     with pytest.raises(DomainError):
         next(enumerate_errors(f2, 2, 3))
+
+
+def test_enumerate_follows_the_stated_order_in_every_field():
+    # the scans' witness order, in full: against the nested-pairs reference
+    # at every weight, n sized to about 10^4 strings (q**(2n)) per field
+    for q, n in ((2, 7), (3, 4), (4, 3), (5, 3), (8, 2), (9, 2)):
+        f = GF(q)
+        for w in range(n + 1):
+            assert [e.sites for e in enumerate_errors(f, n, w)] == all_errors(q, n, w)
 
 
 # -- tokens ------------------------------------------------------------------------
