@@ -6,7 +6,7 @@ import random
 
 import numpy as np
 
-from amecodes import GeneratorTable, PauliString, derive_family, to_reduction_friendly
+from amecodes import GeneratorTable, derive_family, to_reduction_friendly
 from amecodes import linalg
 from amecodes.catalog import load_table
 
@@ -38,11 +38,7 @@ while True:
     if linalg.rank(c, 2) == 6:
         break
 mat = (c @ ame62.symplectic_matrix()) % 2
-scrambled = GeneratorTable(
-    ame62.field, 6,
-    tuple(PauliString.from_symplectic(ame62.field, mat[i], 6) for i in range(6)),
-    ame62.claimed,
-)
+scrambled = GeneratorTable.from_matrix(ame62.field, 6, mat, ame62.claimed)
 show("\na scrambled generating set of the same state:", scrambled)
 recovered = to_reduction_friendly(scrambled)
 same_group = linalg.same_row_span(

@@ -66,6 +66,8 @@ def _parse_index(text: str, filename: str) -> list[CatalogEntry]:
         nonlocal current, current_id
         if current is None:
             return
+        if any(e.id == current_id for e in entries):
+            raise ParseError(f"entry {current_id}: duplicate entry id", filename)
         try:
             params = [int(x) for x in current.pop("params", "").split()]
         except ValueError:
@@ -110,9 +112,6 @@ def _parse_index(text: str, filename: str) -> list[CatalogEntry]:
         key, _, value = line.partition("=")
         current[key.strip()] = value.strip()
     flush()
-    ids = [e.id for e in entries]
-    if len(set(ids)) != len(ids):
-        raise ParseError("duplicate entry ids in index", filename)
     return entries
 
 

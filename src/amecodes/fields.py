@@ -155,14 +155,13 @@ class Field:
                 stacklevel=3,
             )
 
-    def index_of_coeffs(self, coeffs) -> int | np.ndarray:
-        """Index of the element with these coefficients (read mod p), or an
-        array of indices for coefficient vectors along the last axis."""
+    def index_of_coeffs(self, coeffs) -> np.ndarray:
+        """Indices of the elements whose coefficient vectors (read mod p) lie
+        along the last axis: the input's shape less that axis."""
         c = np.asarray(coeffs, dtype=np.int64)
         if c.shape[-1:] != (self.m,):
             raise DomainError(f"bad coefficient vector {c.tolist()} for {self!r}")
-        idx = self.coeff_index[(c % self.p) @ self.p ** np.arange(self.m)]
-        return idx if c.ndim > 1 else int(idx)
+        return self.coeff_index[(c % self.p) @ self.p ** np.arange(self.m)]
 
     def __eq__(self, other) -> bool:
         return (

@@ -18,14 +18,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError
-
 
 def _as_matrix(mat, p: int) -> np.ndarray:
-    a = np.array(mat, dtype=np.int64) % p
-    if a.ndim == 1:
-        a = a.reshape(1, -1)
-    return a
+    return np.array(mat, dtype=np.int64) % p
 
 
 def rref(mat, p: int) -> tuple[np.ndarray, list[int]]:
@@ -79,19 +74,6 @@ def rank(mat, p: int) -> int:
         if row:
             basis.append((row & -row, row))
     return len(basis)
-
-
-def inv(mat, p: int) -> np.ndarray:
-    """Inverse of a square matrix mod p (DomainError if singular)."""
-    a = _as_matrix(mat, p)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise DomainError(f"matrix is not square: {a.shape}")
-    aug = np.hstack([a, np.eye(n, dtype=np.int64)])
-    red, pivots = rref(aug, p)
-    if pivots[:n] != list(range(n)):
-        raise DomainError("matrix is singular mod %d" % p)
-    return red[:, n:]
 
 
 def nullspace(mat, p: int) -> np.ndarray:

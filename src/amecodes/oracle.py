@@ -53,6 +53,7 @@ class CodewordSet:
                                      repr=False)
 
     def __post_init__(self):
+        _check_budget(self.field, self.n)
         for w in self.words:
             if w.field != self.field or w.n != self.n:
                 raise DomainError("codeword shape mismatch")
@@ -217,7 +218,6 @@ def _first_error(c: CodewordSet, w_max: int, scalar: bool) -> PauliString | None
     whose q^w K^2 Gram stack is within K q^n at every weight the scan
     reaches when K <= q^(n-1), by the quantum Singleton bound.
     """
-    _check_budget(c.field, c.n)
     cleared, witness = c._scans.get(scalar, (0, None))
     if witness is not None and witness.weight() <= w_max:
         return witness

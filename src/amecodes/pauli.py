@@ -55,11 +55,6 @@ class PauliString:
     def from_tokens(cls, field: Field, tokens: Sequence[str]) -> "PauliString":
         return cls(field, tuple(parse_site_token(t, field.q) for t in tokens))
 
-    @classmethod
-    def from_symplectic(cls, field: Field, vec: Sequence[int], n: int) -> "PauliString":
-        """The string with Z_p coefficients ``vec``, per-site blocks [x | z]."""
-        return cls(field, sites_from_matrix(field, vec, n)[0])
-
     # -- basics ------------------------------------------------------------
 
     @property

@@ -73,17 +73,13 @@ def _as_form(table: GeneratorTable) -> ReductionFriendlyForm:
 
 def _pattern_matrix(m: int, n_rows: int, width: int) -> np.ndarray:
     """Left-block target: the staircase in symplectic coefficients, site j's
-    target block on the anti-diagonal below the extra all-identity rows."""
-    stairs = np.kron(np.eye(width, dtype=np.int64)[::-1], _target_block(m))
+    block on the anti-diagonal below the extra all-identity rows.  A site's
+    block has rows Z_{alpha^k} then X_{alpha^k}; alpha^k (k < m) has
+    coefficient row e_k, so the block is the x/z swap."""
+    swap = np.roll(np.eye(2 * m, dtype=np.int64), m, axis=1)
+    stairs = np.kron(np.eye(width, dtype=np.int64)[::-1], swap)
     extra = np.zeros((n_rows - len(stairs), stairs.shape[1]), dtype=np.int64)
     return np.vstack([extra, stairs])
-
-
-def _target_block(m: int) -> np.ndarray:
-    """Per-site target restrictions, rows ordered Z_{alpha^k} then X_{alpha^k}.
-    alpha^k (k < m) has coefficient row e_k, so this is the x/z swap, its
-    own inverse."""
-    return np.roll(np.eye(2 * m, dtype=np.int64), m, axis=1)
 
 
 def _greedy_pivots(mat: np.ndarray, rows: list[int], site: int, m: int, p: int,
@@ -121,7 +117,6 @@ def to_reduction_friendly(table: GeneratorTable) -> ReductionFriendlyForm:
     width = block_width(table)
     if width < 1:
         raise DomainError("table too small to canonicalize (needs at least 2m generators)")
-    target = _target_block(m)
 
     active = list(range(n_rows))
     stairs: list[int] = []  # pivot rows, last site's first, as they end up
@@ -129,13 +124,13 @@ def to_reduction_friendly(table: GeneratorTable) -> ReductionFriendlyForm:
         cols = slice(2 * m * j, 2 * m * (j + 1))
         # the active rows are cleared on sites 0..j-1: sites 0..j are tested
         sel = _greedy_pivots(mat, active, j, m, p, j + 1)
-        basis_change = (target @ linalg.inv(mat[sel][:, cols], p)) % p
-        mat[sel] = (basis_change @ mat[sel]) % p
-        # clear this site from every other row, earlier pivots included;
-        # the new pivots are zero on all earlier sites, so nothing regresses
+        # the pivot rows are zero on sites 0..j-1 and independent on site j, so
+        # their (unique) rref is inv(mat[sel][:, cols]) @ mat[sel]; clearing j
+        # from all other rows, earlier pivots included, regresses no site < j
+        piv = linalg.rref(mat[sel], p)[0]
         rest = [r for r in range(n_rows) if r not in sel]
-        coeffs = (mat[rest][:, cols] @ target) % p
-        mat[rest] = (mat[rest] - coeffs @ mat[sel]) % p
+        mat[rest] = (mat[rest] - mat[rest][:, cols] @ piv) % p
+        mat[sel] = np.roll(piv, m, axis=0)  # x/z swap: Z rows above X rows
         stairs = sel + stairs
         active = [r for r in active if r not in sel]
 

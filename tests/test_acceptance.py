@@ -31,7 +31,7 @@ from amecodes.fields import GF
 from amecodes.oracle import (ame_projection_codewords, dense_distance,
                              expand_stabilizer, knill_laflamme_check,
                              reduced_entropy)
-from amecodes.pauli import PauliString, StateVector
+from amecodes.pauli import PauliString, StateVector, sites_from_matrix
 from amecodes.reduction import derive_family, to_reduction_friendly
 from amecodes.repeater import (ChannelParams, LinkPlan, cost_report,
                                optimal_k_table, p_success, rate)
@@ -60,8 +60,7 @@ def scramble(t, rng):
         if linalg.rank(c, p) == n_rows:
             break
     mat = (c @ t.symplectic_matrix()) % p
-    gens = tuple(PauliString.from_symplectic(t.field, mat[i], t.n) for i in range(n_rows))
-    return GeneratorTable(t.field, t.n, gens, t.claimed)
+    return GeneratorTable.from_matrix(t.field, t.n, mat, t.claimed)
 
 
 def ame43_state():
@@ -122,9 +121,9 @@ def test_criterion_1_literal_five_qubit_figures():
     _, parent_witness = find_min_undetectable(parent, 3)
     _, child_witness = find_min_undetectable(child, 2)
     rows = parent.symplectic_matrix()
-    g4g5 = PauliString.from_symplectic(parent.field, (rows[3] + rows[4]) % 2, parent.n)
+    g4g5 = sites_from_matrix(parent.field, (rows[3] + rows[4]) % 2, parent.n)[0]
     witnesses = (
-        parent_witness.sites == g4g5.sites
+        parent_witness.sites == g4g5
         and child_witness.sites == ((0, 0), (0, 0), (1, 0), (0, 0))  # X on site 3
     )
     ame, kid = catalog_table("ame_5_2"), catalog_table("code_4_1_2_2")

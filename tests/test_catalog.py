@@ -100,6 +100,21 @@ def test_out_of_range_grid_cells_are_a_parse_error_naming_the_entry(tmp_path):
     assert [(e.n, e.q) for e in load_catalog(tmp_path)] == [(4, 6)]  # q = 6 stays a cell
 
 
+@pytest.mark.parametrize("text, message", [
+    ("[t]\nparams = 4 3\nexistence = maybe\n", ": entry t: bad existence 'maybe'"),
+    ("[t]\nparams = 4 3\nsize = 2\ncolour = red\n",
+     r": entry t: unknown keys \['colour', 'size'\]"),
+    ("[t]\nparams = 4 3\njunk\n", ":3: unrecognized index line 'junk'"),
+    ("params = 4 3\n", ":1: unrecognized index line 'params = 4 3'"),
+    ("[t]\nparams = 4 3\n[u]\nparams = 5 3\n[t]\nparams = 6 3\n", ": entry t: duplicate entry id"),
+])
+def test_malformed_index_is_a_parse_error_naming_the_entry_or_line(tmp_path, text, message):
+    index = tmp_path / "index.toml"
+    index.write_text(text)
+    with pytest.raises(ParseError, match=f"^{re.escape(str(index))}{message}$"):
+        load_catalog(tmp_path)
+
+
 def test_catalog_rejects_index_table_mismatch(tmp_path):
     good = (catalog_dir() / "ame_2_2.stabtab").read_text()
     (tmp_path / "t.stabtab").write_text(good)

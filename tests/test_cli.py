@@ -9,9 +9,13 @@ import pytest
 from amecodes.catalog import catalog_dir, load_catalog
 from amecodes.cli import build_parser, main
 
+PINNED = json.loads((Path(__file__).resolve().parent / "pinned_outputs.json").read_text())
 # "<catalog id>[ --kl-d D]" -> exit code, stdout and stderr of `amecodes oracle`
-PINNED_ORACLE = json.loads(
-    (Path(__file__).resolve().parent / "pinned_outputs.json").read_text())["oracle"]
+PINNED_ORACLE = PINNED["oracle"]
+# "<subcommand> [<catalog id>] [flags]" -> the same, run in an empty directory;
+# verify, reduce and children read the id's catalog file
+PINNED_CLI = PINNED["cli"]
+TABLE_COMMANDS = {"verify": "", "reduce": "", "children": " --outdir kids"}
 
 
 def run(capsys, *argv):
@@ -103,12 +107,19 @@ def test_oracle_on_state_file(tmp_path, capsys):
 
 def test_oracle_entropy_of_a_product_state_prints_positive_zero(tmp_path, capsys):
     state = tmp_path / "zero.txt"
-    state.write_text("1 0\n0 0\n0 0\n0 0\n")  # |00>
+    state.write_text("# |00>\n1 0\n\n0 0  # comments and blank lines are skipped\n0 0\n0 0\n")
     code, out, _ = run(capsys, "oracle", "--state", str(state), "--q", "2",
                        "--entropy-subsets", "1")
     assert code == 0
     assert out == ("state: n=2, q=2 (normalized input)\n"
                    "entropy |A|=1: min 0.000000  max 0.000000 bits\n")
+
+
+def test_oracle_state_past_the_dense_budget_exits_3_before_any_output(tmp_path, capsys):
+    state = tmp_path / "state.txt"
+    state.write_text("1 0\n" * 2**13)
+    assert run(capsys, "oracle", "--state", str(state), "--q", "2") == (
+        3, "", "error: dense oracle needs 8192 amplitudes, budget is 4096\n")
 
 
 def test_oracle_refuses_q_with_a_stabtab_file(capsys):
@@ -273,6 +284,8 @@ def test_oracle_state_refuses_zero_and_siteless_input(tmp_path, capsys):
         "0 0\n0 0\n0 0\n0 0\n": "all amplitudes zero",
         "1 0\n": "at least q=2 amplitudes (one site), got 1",
         "nan 0\n0 0\n0 0\n1 0\n": "must be finite",
+        "1 0\n0\n": "state.txt:2: state lines are 're im' pairs",
+        "1 0\n0 0\n0 0\n": "3 amplitudes is not a power of q=2",
     }
     for text, message in cases.items():
         state = tmp_path / "state.txt"
@@ -494,3 +507,22 @@ def test_pinned_oracle_calls_cover_the_catalog():
     want = {f"{e.id}{flags}" for e in load_catalog() if e.file
             for flags in ("", f" --kl-d {e.d}", f" --kl-d {e.d + 1}")}
     assert set(PINNED_ORACLE) == want
+
+
+@pytest.mark.parametrize("call", sorted(PINNED_CLI))
+def test_cli_output_is_pinned(tmp_path, monkeypatch, capsys, call):
+    argv = call.split()
+    if argv[0] in TABLE_COMMANDS:
+        argv[1] = str(catalog_dir() / f"{argv[1]}.stabtab")
+    monkeypatch.chdir(tmp_path)
+    want = PINNED_CLI[call]
+    assert run(capsys, *argv) == (want["exit"], want["stdout"], want["stderr"])
+
+
+def test_pinned_cli_calls_cover_the_catalog():
+    # verify, reduce and children on each table, and every table-free subcommand
+    per_table = {f"{cmd} {e.id}{flags}" for e in load_catalog() if e.file
+                 for cmd, flags in TABLE_COMMANDS.items()}
+    assert per_table <= set(PINNED_CLI)
+    others = {call.split()[0] for call in set(PINNED_CLI) - per_table}
+    assert others == {"table", "figure", "cost", "rate", "catalog"}

@@ -102,6 +102,13 @@ def test_stabtab_errors_carry_line_numbers():
          r"modulus \(1, 0, 1\) is reducible over Z_2 .*"),
         ("code n=2 q=4 k=0", 2, "q=4 is a proper prime power; a modulus line is required"),
         ("code n=2 q=3 k=0\nmodulus: 1,0,1", 3, "q=3 is prime; modulus line not allowed"),
+        ("code n=2 q=2\ncode n=2 q=2", 3, "duplicate code line"),
+        ("code n=2 q=2 k", 2, "bad code attribute 'k'"),
+        ("code n=2 k=0", 2, "code line needs at least n= and q="),
+        ("code n=2 q=4\nmodulus: 1,1,1\nmodulus: 1,1,1", 4, "duplicate modulus line"),
+        ("code n=2 q=4\nmodulus: 1,x,1", 3, "modulus must be a comma list of integers"),
+        ("code n=2 q=4\nmodulus: 1,1", 3,
+         r"modulus must be a monic degree-2 coefficient list, got \(1, 1\)"),
     ]:
         with pytest.raises(ParseError, match=f"^bad.stabtab:{line}: {message}$"):
             stabtab.parse(f"# stabtab v1\n{code_line}\ng1: z1 z1\ng2: x1 x1\n", "bad.stabtab")
@@ -244,8 +251,7 @@ def scramble(t, rng):
         if linalg.rank(c, p) == n_rows:
             break
     mat = (c @ t.symplectic_matrix()) % p
-    gens = tuple(PauliString.from_symplectic(t.field, mat[i], t.n) for i in range(n_rows))
-    return GeneratorTable(t.field, t.n, gens, t.claimed)
+    return GeneratorTable.from_matrix(t.field, t.n, mat, t.claimed)
 
 
 def random_local_symplectic(t, rng):

@@ -65,8 +65,7 @@ def scramble(t, rng):
         if linalg.rank(c, p) == n_rows:
             break
     mat = (c @ t.symplectic_matrix()) % p
-    gens = tuple(PauliString.from_symplectic(t.field, mat[i], t.n) for i in range(n_rows))
-    return GeneratorTable(t.field, t.n, gens, t.claimed)
+    return GeneratorTable.from_matrix(t.field, t.n, mat, t.claimed)
 
 
 # -- fixed points -------------------------------------------------------------

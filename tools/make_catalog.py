@@ -25,7 +25,7 @@ from amecodes.codes import (CodeParams, GeneratorTable, compute_distance, find_m
                             require_stabilizer)
 from amecodes.fields import GF
 from amecodes.oracle import ame_projection_codewords, expand_stabilizer
-from amecodes.pauli import PauliString, StateVector
+from amecodes.pauli import PauliString, StateVector, sites_from_matrix
 from amecodes.reduction import derive_family, to_reduction_friendly
 
 OUT = Path(__file__).resolve().parents[1] / "src" / "amecodes" / "catalog"
@@ -102,8 +102,8 @@ def main():
         require_stabilizer(printed)
     w, err = find_min_undetectable(printed52, 3)
     rows = printed52.symplectic_matrix()
-    g4g5 = PauliString.from_symplectic(printed52.field, (rows[3] + rows[4]) % 2, 5)
-    assert (w, err.sites) == (2, g4g5.sites), \
+    g4g5 = sites_from_matrix(printed52.field, (rows[3] + rows[4]) % 2, 5)[0]
+    assert (w, err.sites) == (2, g4g5), \
         "the printed AME(5,2) figure's first weight-2 element is not g4*g5"
     w, err = find_min_undetectable(printed412, 2)
     assert (w, err.sites) == (1, ((0, 0), (0, 0), (1, 0), (0, 0))), \
