@@ -170,10 +170,11 @@ def cmd_oracle(args) -> int:
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ParseError("state lines are 're im' pairs", args.state, lineno)
-            amps.append(complex(float(parts[0]), float(parts[1])))
+            try:
+                re_part, im_part = map(float, line.split())  # two numbers, or ValueError
+            except ValueError:
+                raise ParseError("state lines are 're im' pairs", args.state, lineno) from None
+            amps.append(complex(re_part, im_part))
         if len(amps) < args.q:
             raise DomainError(f"a state needs at least q={args.q} amplitudes (one site), "
                               f"got {len(amps)}")

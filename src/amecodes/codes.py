@@ -28,19 +28,22 @@ class is screened: each subset A is decided by the Z_p kernel of the
 syndrome map restricted to it (``site_map[A]``, 2m|A| rows, N columns).
 Lighter classes are clear by then, so every error inside A that counts
 lies in that kernel with full support on A, and A holds one exactly when
-the kernel is nonzero (k = 0) or not inside the stabilizer group (k > 0).
-The kernel of the first such subset is read off a nullspace basis, at
-most ``_BLOCK_ROWS`` combinations at a time; the witness is the first
-element in flat order that counts, the one the unscreened scan finds.
-For k > 0, vectors lie in the group exactly when M, the table matrix,
-keeps its rank with them appended; M's rows need not be independent.
-Commuting or not, a table gets the same result at every block size.  The
-budget counts brute-force commutation tests per class, screened or not,
-charged before the class starts.
+some row of the kernel's nullspace basis counts.  The kernel of the
+first such subset is read off that basis, at most ``_BLOCK_ROWS``
+combinations at a time; the witness is the least full-support element
+that counts, the one the unscreened scan finds.  For k > 0 an error
+counts when it lies outside the group, the row span of M, the table
+matrix; dependent or not, that span is exactly the vectors orthogonal to
+ker M, so one mask against ker M (split per site, computed when first
+needed) decides whole arrays of errors.  Commuting or not, a table gets
+the same result at every block size.  The budget counts brute-force
+commutation tests per class, screened or not, charged before the class
+starts.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -227,9 +230,9 @@ def find_min_undetectable(
     weight <= d_max.  Raises DomainError for a negative budget, and
     ResourceBudgetError before a weight class that would push the
     commutation-test count past it.  A subset of a screened class is
-    decided by the kernel of its syndrome map.  For k > 0 degenerate errors
-    are found by rank; commuting or not, the result does not depend on
-    ``_BLOCK_ROWS``.
+    decided by the kernel of its syndrome map.  For k > 0 errors in the
+    group do not count (see the module docstring); commuting or not, the
+    result does not depend on ``_BLOCK_ROWS``.
     """
     require_budget(budget)
     f = table.field
@@ -247,48 +250,33 @@ def find_min_undetectable(
         syn, add = linalg.pack_bits(site_syn), np.bitwise_xor
     else:
         syn, add = site_syn, np.add
-    mat, k = table.symplectic_matrix(), table.k
-    group_rank = linalg.rank(mat, p) if k else 0  # log_p of the group's order
 
-    def spread(sites, vecs):
-        """Z_p rows on ``sites`` as rows over all n sites, zero elsewhere."""
-        full = np.zeros((len(vecs), n, 2 * m), dtype=np.int64)
-        full[:, list(sites)] = vecs.reshape(len(vecs), len(sites), 2 * m)
-        return full.reshape(len(vecs), -1)
+    @functools.cache
+    def ker_blocks():
+        """ker M split per site like ``site_map``: (n, 2m, dim ker M)."""
+        return linalg.nullspace(table.symplectic_matrix(), p).T.reshape(n, 2 * m, -1)
 
-    def degenerate(sites, vecs) -> bool:
-        """Every row of ``vecs`` (on ``sites``) lies in the stabilizer group:
-        M with them appended keeps the group's rank."""
-        return linalg.rank(np.vstack([mat, spread(sites, vecs)]), p) == group_rank
-
-    def undetectable(sites, digits):
-        """The zero-syndrome error of pair digits ``digits`` on ``sites``, if it
-        counts: always for k = 0, outside the stabilizer group for k > 0."""
-        vec = pair_vecs[np.asarray(digits)].reshape(1, -1)
-        if k > 0 and degenerate(sites, vec):
-            return None  # a stabilizer element: degenerate, not a logical
-        return error_on(f, n, sites, digits)
+    def counts(sites, vecs):
+        """Which of the errors ``vecs`` (rows, w, 2m Z_p blocks) on ``sites``
+        (w, or one row of w per error) count."""
+        if table.k == 0:
+            return np.ones(len(vecs), dtype=bool)
+        return (np.einsum("...sc,...scj->...j", vecs, ker_blocks()[sites]) % p).any(axis=-1)
 
     def kernel_witness(sites, basis):
         """First undetectable error, in flat order, with full support on
         ``sites``, in the span of ``basis``: the kernel of the syndrome map
         restricted there."""
         n_combos, powers = p ** len(basis), p ** np.arange(len(basis))
-        best = (n_pairs,) * len(sites), None  # (digits, error), digits past every row
+        best = np.empty((0, len(sites)), dtype=np.int64)  # the least digits so far, if any
         for start in range(0, n_combos, _BLOCK_ROWS):
             combos = np.arange(start, min(start + _BLOCK_ROWS, n_combos))
-            vecs = ((combos[:, None] // powers % p) @ basis) % p
-            ab = f.index_of_coeffs(vecs.reshape(len(combos), len(sites), 2, m))
+            vecs = ((combos[:, None] // powers % p) @ basis % p).reshape(len(combos), -1, 2 * m)
+            ab = f.index_of_coeffs(vecs.reshape(len(combos), -1, 2, m))
             digits = ab[..., 0] * q + ab[..., 1] - 1  # (a, b)'s index in pairs
-            digits = digits[(digits >= 0).all(axis=1)]  # full support
-            for row in map(tuple, digits[np.lexsort(digits.T[::-1])]):
-                if row >= best[0]:
-                    break
-                hit = undetectable(sites, row)
-                if hit is not None:
-                    best = row, hit
-                    break
-        return best[1]
+            rows = np.vstack([best, digits[(digits >= 0).all(axis=1) & counts(sites, vecs)]])
+            best = rows[np.lexsort(rows.T[::-1])[:1]]  # digits, not flat indices: q**2w overflows
+        return error_on(f, n, sites, best[0])
 
     width = syn.shape[-1]
     tests_done = 0
@@ -301,9 +289,9 @@ def find_min_undetectable(
             )
         subsets = itertools.combinations(range(n), w)
         if n_pairs**w > _BLOCK_ROWS:
-            for sites in subsets:
-                basis = linalg.nullspace(site_map[list(sites)].reshape(-1, n_gens).T, p)
-                if len(basis) and (k == 0 or not degenerate(sites, basis)):
+            for sites in map(list, subsets):
+                basis = linalg.nullspace(site_map[sites].reshape(-1, n_gens).T, p)
+                if len(basis) and counts(sites, basis.reshape(-1, w, 2 * m)).any():
                     return w, kernel_witness(sites, basis)
             continue
         # as many consecutive subsets as fill a block
@@ -313,11 +301,15 @@ def find_min_undetectable(
             block = syn[sites[:, 0]]
             for s in sites[:, 1:].T:
                 block = add(block[:, :, None], syn[s][:, None]).reshape(len(chunk), -1, width)
-            zero = ~(block if p == 2 else block % p).any(axis=-1)
-            for i, row in zip(*np.nonzero(zero)):
-                hit = undetectable(chunk[i], np.unravel_index(row, (n_pairs,) * w))
-                if hit is not None:
-                    return w, hit
+            # zero syndromes in (subset, flat row) order; the first that counts
+            zero = np.flatnonzero(~(block if p == 2 else block % p).any(axis=-1))
+            if len(zero):
+                i, *digits = np.unravel_index(zero, (len(chunk),) + (n_pairs,) * w)
+                digits = np.stack(digits, axis=1)
+                hit = counts(sites[i], pair_vecs[digits])
+                if hit.any():
+                    j = hit.argmax()
+                    return w, error_on(f, n, chunk[i[j]], digits[j])
     return None
 
 

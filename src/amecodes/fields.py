@@ -58,6 +58,9 @@ def factor_prime_power(q: int) -> tuple[int, int]:
     """Split q into (p, m) with p prime, q = p**m."""
     if q < 2:
         raise DomainError(f"field size must be >= 2, got {q}")
+    # far past every supported size: refused before trial division, linear in q
+    if q > 4096:
+        raise DomainError(f"fields supported up to q={MAX_PRIME_Q}, got {q}")
     p = 2
     while q % p:
         p += 1

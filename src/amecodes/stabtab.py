@@ -55,7 +55,11 @@ def parse(text: str, filename: str | None = None) -> GeneratorTable:
                                      filename, lineno)
                 if key in fields:
                     raise ParseError(f"repeated code attribute {key!r}", filename, lineno)
-                fields[key] = int(kv.group(2))
+                try:
+                    fields[key] = int(kv.group(2))
+                except ValueError:  # past Python's digit limit for int()
+                    raise ParseError(f"code attribute {key!r} has too many digits",
+                                     filename, lineno) from None
             if "n" not in fields or "q" not in fields:
                 raise ParseError("code line needs at least n= and q=", filename, lineno)
             n, q = fields["n"], fields["q"]

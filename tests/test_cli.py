@@ -285,6 +285,7 @@ def test_oracle_state_refuses_zero_and_siteless_input(tmp_path, capsys):
         "1 0\n": "at least q=2 amplitudes (one site), got 1",
         "nan 0\n0 0\n0 0\n1 0\n": "must be finite",
         "1 0\n0\n": "state.txt:2: state lines are 're im' pairs",
+        "1 0\na b\n": "state.txt:2: state lines are 're im' pairs",
         "1 0\n0 0\n0 0\n": "3 amplitudes is not a power of q=2",
     }
     for text, message in cases.items():

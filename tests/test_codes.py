@@ -96,6 +96,7 @@ def test_stabtab_errors_carry_line_numbers():
         ("code n=2 q=2 k=3", 2, r"k=3 lies outside \[0, n\] for n=2"),
         ("code n=2 q=2 k=0 d=0", 2, "d must be >= 1, got 0"),
         ("code n=2 q=6 k=0 d=2", 2, "6 is not a prime power"),
+        (f"code n=2 q={2**127 - 1} k=0", 2, f"fields supported up to q=64, got {2**127 - 1}"),
         ("code n=2 q=2 k=0 d=9", 2,
          r"\[\[2,0,9\]\]_2 violates the quantum Singleton bound n-k >= 2\(d-1\)"),
         ("code n=2 q=4 k=0 d=2\nmodulus: 1,0,1", 3,
@@ -112,6 +113,9 @@ def test_stabtab_errors_carry_line_numbers():
     ]:
         with pytest.raises(ParseError, match=f"^bad.stabtab:{line}: {message}$"):
             stabtab.parse(f"# stabtab v1\n{code_line}\ng1: z1 z1\ng2: x1 x1\n", "bad.stabtab")
+    # past Python's int() digit limit, where it has one: refused at the line either way
+    with pytest.raises(ParseError, match="^bad.stabtab:1: "):
+        stabtab.parse(f"code n=1 q={'7' * 5000}\ng1: x1\n", "bad.stabtab")
     with pytest.raises(ParseError, match="^bad.stabtab:2: generator count 0 is not m"):
         stabtab.parse("# stabtab v1\ncode n=0 q=2\n", "bad.stabtab")
     # no line to point at: the file name alone, and no prefix without one

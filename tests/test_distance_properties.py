@@ -101,6 +101,16 @@ AME_4_9 = graph_state(GF(9), [[0, 7, 3, 4], [7, 0, 3, 7], [3, 3, 0, 1], [4, 7, 1
 BELL_AND_4_2_2 = stabtab.parse("code n=6 q=2 k=2\ng1: z1 z1 i i i i\ng2: x1 x1 i i i i\n"
                                "g3: i i z1 z1 z1 z1\ng4: i i x1 x1 x1 x1\n")
 
+# a GF(9) Bell pair (X_a X_a for a = 1, alpha and Z_b Z_-b; index 5 is -1,
+# index 6 is -alpha) beside the [[4,2,2]]_9 code: weight 2 (80^2 errors a
+# subset) is screened at the default block size, and the kernel of subset
+# (0, 1) is nonzero but inside the group, so the scan must move on
+BELL_AND_4_2_2_9 = stabtab.parse(
+    "code n=6 q=9 k=2\nmodulus: 1,1,2\n"
+    "g1: x1 x1 i i i i\ng2: x2 x2 i i i i\ng3: z1 z5 i i i i\ng4: z2 z6 i i i i\n"
+    "g5: i i z1 x1z5 z5 x5z1\ng6: i i z2 x2z6 z6 x6z2\n"
+    "g7: i i x1 z1 x5 z5\ng8: i i x2 z2 x6 z6\n")
+
 # a dependent k = 1 table, g3 = g1 g2 up to phase: the group has rank 2, not
 # the generator count 3, so z1 z1 i i is a logical and z1 z1 z1 z1 is not
 DEPENDENT_4_1 = stabtab.parse("code n=4 q=2 k=1\ng1: x1 x1 x1 x1\ng2: z1 z1 z1 z1\n"
@@ -122,6 +132,7 @@ def assert_scan_matches_the_exhaustive_route(table):
 @given(scrambled_codes())
 @example(AME_4_9)
 @example(BELL_AND_4_2_2)
+@example(BELL_AND_4_2_2_9)
 @example(DEPENDENT_4_1)
 def test_scan_matches_the_exhaustive_route_at_any_block_size(table):
     assert_scan_matches_the_exhaustive_route(table)

@@ -39,6 +39,8 @@ def test_construction_guards():
         Field(67)  # beyond the prime cap
     with pytest.raises(DomainError, match="supported up to q=9"):
         GF(16)  # beyond the extension cap
+    with pytest.raises(DomainError, match=f"^fields supported up to q=64, got {2**127 - 1}$"):
+        GF(2**127 - 1)  # refused before trial division, which is linear in q
     with pytest.raises(DomainError):
         Field(4, modulus=(1, 0, 1))  # x^2 + 1 reducible over Z_2
     with pytest.raises(DomainError):
