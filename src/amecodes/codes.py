@@ -34,8 +34,8 @@ combinations at a time; the witness is the least full-support element
 that counts, the one the unscreened scan finds.  For k > 0 an error
 counts when it lies outside the group, the row span of M, the table
 matrix; dependent or not, that span is exactly the vectors orthogonal to
-ker M, so one mask against ker M (split per site, computed when first
-needed) decides whole arrays of errors.  Commuting or not, a table gets
+ker M, so one mask against ker M (split per site, computed once per
+scan) decides whole arrays of errors.  Commuting or not, a table gets
 the same result at every block size.  The budget counts brute-force
 commutation tests per class, screened or not, charged before the class
 starts.
@@ -43,7 +43,6 @@ starts.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -251,17 +250,15 @@ def find_min_undetectable(
     else:
         syn, add = site_syn, np.add
 
-    @functools.cache
-    def ker_blocks():
-        """ker M split per site like ``site_map``: (n, 2m, dim ker M)."""
-        return linalg.nullspace(table.symplectic_matrix(), p).T.reshape(n, 2 * m, -1)
+    # for k > 0, ker M split per site like site_map: ker[s, coordinate, basis vector]
+    ker = linalg.nullspace(table.symplectic_matrix(), p).T.reshape(n, 2 * m, -1) if table.k else None
 
     def counts(sites, vecs):
         """Which of the errors ``vecs`` (rows, w, 2m Z_p blocks) on ``sites``
         (w, or one row of w per error) count."""
-        if table.k == 0:
+        if ker is None:
             return np.ones(len(vecs), dtype=bool)
-        return (np.einsum("...sc,...scj->...j", vecs, ker_blocks()[sites]) % p).any(axis=-1)
+        return (np.einsum("...sc,...scj->...j", vecs, ker[sites]) % p).any(axis=-1)
 
     def kernel_witness(sites, basis):
         """First undetectable error, in flat order, with full support on

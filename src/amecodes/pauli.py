@@ -86,7 +86,10 @@ def parse_site_token(token: str, q: int) -> tuple[int, int]:
     m = _TOKEN_RE.match(token.strip().lower())
     if not m:
         raise DomainError(f"bad site token {token!r}")
-    a, b = (int(e) if e else 0 for e in m.groups())
+    try:
+        a, b = (int(e) if e else 0 for e in m.groups())
+    except ValueError:  # past Python's int() digit limit, so past q too
+        a = b = q
     if a >= q or b >= q:
         raise DomainError(f"site token {token!r} has element index >= q={q}")
     return (a, b)

@@ -32,6 +32,14 @@ _KV_RE = re.compile(r"^([a-z]+)=(\d+)$")
 _GEN_RE = re.compile(r"^g(\d+):\s*(.*)$")
 
 
+def _number(digits: str, filename: str | None, lineno: int) -> int:
+    """int(digits), refused at its line past Python's int() digit limit."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(f"{len(digits)}-digit number is too long", filename, lineno) from None
+
+
 def parse(text: str, filename: str | None = None) -> GeneratorTable:
     """Parse stabtab source text into a verified-shape GeneratorTable."""
     n = q = k = d = modulus = code_line = modulus_line = None
@@ -55,11 +63,7 @@ def parse(text: str, filename: str | None = None) -> GeneratorTable:
                                      filename, lineno)
                 if key in fields:
                     raise ParseError(f"repeated code attribute {key!r}", filename, lineno)
-                try:
-                    fields[key] = int(kv.group(2))
-                except ValueError:  # past Python's digit limit for int()
-                    raise ParseError(f"code attribute {key!r} has too many digits",
-                                     filename, lineno) from None
+                fields[key] = _number(kv.group(2), filename, lineno)
             if "n" not in fields or "q" not in fields:
                 raise ParseError("code line needs at least n= and q=", filename, lineno)
             n, q = fields["n"], fields["q"]
@@ -79,7 +83,7 @@ def parse(text: str, filename: str | None = None) -> GeneratorTable:
             continue
         m = _GEN_RE.match(line)
         if m:
-            gen_rows.append((int(m.group(1)), m.group(2).split(), lineno))
+            gen_rows.append((_number(m.group(1), filename, lineno), m.group(2).split(), lineno))
             continue
         raise ParseError(f"unrecognized line {line!r}", filename, lineno)
 

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 from unittest import mock
 
 import numpy as np
@@ -114,8 +115,17 @@ def test_stabtab_errors_carry_line_numbers():
         with pytest.raises(ParseError, match=f"^bad.stabtab:{line}: {message}$"):
             stabtab.parse(f"# stabtab v1\n{code_line}\ng1: z1 z1\ng2: x1 x1\n", "bad.stabtab")
     # past Python's int() digit limit, where it has one: refused at the line either way
-    with pytest.raises(ParseError, match="^bad.stabtab:1: "):
-        stabtab.parse(f"code n=1 q={'7' * 5000}\ng1: x1\n", "bad.stabtab")
+    limited = 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000
+    long = "1" * 5000
+    for text, line, message in [
+        (f"code n=1 q={long}\ng1: x1\n", 1, "5000-digit number is too long"),
+        (f"code n=1 q=2\ng{long}: x1\n", 2, "5000-digit number is too long"),
+        (f"code n=1 q=2\ng1: x{long}\n", 2, f"site token 'x{long}' has element index >= q=2"),
+    ]:
+        if not limited and "token" not in message:
+            message = ".*"
+        with pytest.raises(ParseError, match=f"^bad.stabtab:{line}: {message}$"):
+            stabtab.parse(text, "bad.stabtab")
     with pytest.raises(ParseError, match="^bad.stabtab:2: generator count 0 is not m"):
         stabtab.parse("# stabtab v1\ncode n=0 q=2\n", "bad.stabtab")
     # no line to point at: the file name alone, and no prefix without one

@@ -196,7 +196,7 @@ def test_token_grammar():
     assert emit_site_token(2, 0) == "x2"
     assert emit_site_token(0, 3) == "z3"
     assert emit_site_token(1, 1) == "x1z1"
-    for bad in ("y1", "xz", "x", "z", "", "x9", "z1x1"):
+    for bad in ("y1", "xz", "x", "z", "", "x9", "z1x1", "z" + "1" * 5000):  # past int()'s limit
         with pytest.raises(DomainError):
             parse_site_token(bad, 9)
     f9 = GF(9)
