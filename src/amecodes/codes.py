@@ -103,7 +103,7 @@ def classify_singleton(params: CodeParams) -> str:
     gap = params.n - params.k - 2 * (params.d - 1)
     if gap == 0:
         return QMDS
-    if gap == 1 and (params.n - params.k) % 2 == 1:
+    if gap == 1:
         return SUBOPTIMAL_QMDS
     return BELOW_BOUND
 

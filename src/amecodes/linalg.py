@@ -3,15 +3,23 @@
 Matrices are numpy integer arrays with entries reduced mod p.  These
 routines back independence checks, span comparisons, distance kernels
 and the canonicalization row operations; p is always small (<= 61), so
-plain Gaussian elimination is all that is needed.
+plain Gaussian elimination is all that is needed, one per p.
 
-Over Z_2 a row is a bit vector.  :func:`pack_bits` stores bit j of a row
-as bit j % 64 of word j // 64 (little-endian ``uint64``), so adding two
-rows is one XOR per word.  :func:`rank` with p = 2 reads each packed row
-as one integer and eliminates by XOR: each row is reduced by the basis
-rows kept so far (XOR with a basis row whose pivot, its lowest set bit,
-the row still holds), and joins the basis when a nonzero remainder is
-left.  The number of basis rows is the rank.
+Odd p: :func:`rref` eliminates column by column on the numpy matrix,
+and :func:`rank` counts its pivots.  :func:`nullspace` reads the
+:func:`rref` of either p.
+
+p = 2: a row is a bit vector, so adding two rows is one XOR.
+:func:`pack_bits` stores bit j of a row as bit j % 64 of word j // 64
+(little-endian ``uint64``), the layout of the distance scan's syndromes.
+The elimination packs each row into one Python integer (bit j = column
+j) and makes one forward pass: each row is reduced by the basis rows
+kept so far (XOR with a basis row whose pivot, its lowest set bit, the
+row still holds), and joins the basis when a nonzero remainder is left.
+:func:`rank` is the number of basis rows.  :func:`rref` sorts them by
+pivot and clears each pivot bit from the other rows; basis rows have
+distinct lowest bits, so these are the pivots of the reduced row echelon
+form, which is unique.
 """
 
 from __future__ import annotations
@@ -23,6 +31,20 @@ def _as_matrix(mat, p: int) -> np.ndarray:
     return np.array(mat, dtype=np.int64) % p
 
 
+def _z2_basis(a: np.ndarray) -> list[tuple[int, int]]:
+    """The Z_2 forward pass of the module docstring: (pivot bit, row) of
+    each basis row, in the order the rows joined."""
+    basis: list[tuple[int, int]] = []
+    for packed in np.packbits(a, axis=-1, bitorder="little"):
+        row = int.from_bytes(packed.tobytes(), "little")
+        for pivot, b in basis:
+            if row & pivot:
+                row ^= b
+        if row:
+            basis.append((row & -row, row))
+    return basis
+
+
 def rref(mat, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form mod p.
 
@@ -31,6 +53,20 @@ def rref(mat, p: int) -> tuple[np.ndarray, list[int]]:
     """
     a = _as_matrix(mat, p)
     rows, cols = a.shape
+    if p == 2:
+        red = [row for _, row in sorted(_z2_basis(a))]
+        # a row holds no bit below its pivot, so only rows above hold it
+        for j in range(len(red) - 1, 0, -1):
+            pivot = red[j] & -red[j]
+            for i in range(j):
+                if red[i] & pivot:
+                    red[i] ^= red[j]
+        out = np.zeros((rows, cols), dtype=np.int64)
+        if red:
+            packed = b"".join(r.to_bytes(-(-cols // 8), "little") for r in red)
+            bits = np.unpackbits(np.frombuffer(packed, np.uint8), bitorder="little")
+            out[: len(red)] = bits.reshape(len(red), -1)[:, :cols]
+        return out, [(r & -r).bit_length() - 1 for r in red]
     pivots: list[int] = []
     r = 0
     for c in range(cols):
@@ -62,18 +98,9 @@ def pack_bits(bits) -> np.ndarray:
 
 
 def rank(mat, p: int) -> int:
-    if p != 2:
-        return len(rref(mat, p)[1])
-    a = _as_matrix(mat, p)
-    basis: list[tuple[int, int]] = []  # (pivot bit, row)
-    for word in pack_bits(a):
-        row = int.from_bytes(word.tobytes(), "little")
-        for pivot, b in basis:
-            if row & pivot:
-                row ^= b
-        if row:
-            basis.append((row & -row, row))
-    return len(basis)
+    if p == 2:
+        return len(_z2_basis(_as_matrix(mat, p)))
+    return len(rref(mat, p)[1])
 
 
 def nullspace(mat, p: int) -> np.ndarray:

@@ -21,6 +21,7 @@ case-insensitive; emission is lowercase.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import re
@@ -81,8 +82,11 @@ def sites_from_matrix(field: Field, mat, n: int) -> list[tuple[tuple[int, int], 
     return [tuple(map(tuple, row)) for row in pairs.tolist()]
 
 
+# bounded, as tokens come from input files; q <= 64 gives at most 64**2 pairs
+@functools.lru_cache(maxsize=4096)
 def parse_site_token(token: str, q: int) -> tuple[int, int]:
-    """Parse one site token into an (x_index, z_index) pair."""
+    """Parse one site token into an (x_index, z_index) pair; a refusal
+    raises, so it is never cached."""
     m = _TOKEN_RE.match(token.strip().lower())
     if not m:
         raise DomainError(f"bad site token {token!r}")

@@ -192,7 +192,7 @@ def derive_family(
         )
         form = _as_form(form.table.relabel(params))
     out = [(params, form.table)]
-    while params.d - 1 >= 2 and len(form.table.gens) > 2 * table.field.m:
+    while params.d - 1 >= 2:
         form = _as_form(child_code(form))
         params = form.table.claimed
         out.append((params, form.table))

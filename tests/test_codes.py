@@ -14,6 +14,7 @@ from amecodes.codes import (BELOW_BOUND, QMDS, SUBOPTIMAL_QMDS, CodeParams,
                             find_min_undetectable, is_ame, subsystem_entropy)
 from amecodes.errors import DomainError, ParseError, ResourceBudgetError
 from amecodes.fields import GF
+from amecodes.oracle import expand_stabilizer, reduced_entropy
 from amecodes.pauli import PauliString
 
 from oracles import commutation_exp, min_group_weight, projective_group
@@ -324,6 +325,15 @@ def test_subsystem_entropy_gf9_uses_log2q():
     ))
     assert check_commutation(bell9) is None
     assert subsystem_entropy(bell9, [0]) == pytest.approx(math.log2(9))
+
+
+def test_subsystem_entropy_when_the_inside_dimension_is_not_a_multiple_of_m():
+    # GF(4), m = 2: the group acting inside site 0 has Z_2 dimension 1, so
+    # the site holds 1.0 bit, half a GF(4) digit, by both routes
+    t = table("code n=2 q=4\nmodulus: 1,1,1\ng1: x1z1 x3z2\ng2: z3 x3z1\n"
+              "g3: z3 x1z2\ng4: x1z3 x2\n")
+    assert subsystem_entropy(t, [0]) == pytest.approx(1.0)
+    assert reduced_entropy(expand_stabilizer(t).words[0], [0]) == pytest.approx(1.0)
 
 
 def test_is_ame():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amecodes import linalg, stabtab
+from amecodes.catalog import load_table
 from amecodes.codes import (GeneratorTable, check_commutation,
                             check_independence, compute_distance, subsystem_entropy)
 from amecodes.errors import DomainError, ReductionError
@@ -237,6 +238,15 @@ def test_no_children_below_distance_two():
     assert len(fam) == 1
     form = to_reduction_friendly(stabtab.parse(AME_2_2))
     with pytest.raises(DomainError, match="distance 1|no reduction steps"):
+        child_code(form)
+
+
+def test_child_code_stops_at_distance_two():
+    # [[3,0,2]]_2 has 3 > 2m rows and block width 1, so only the distance
+    # guard refuses its child
+    form = to_reduction_friendly(load_table("ame_3_2"))
+    assert len(form.table.gens) > 2 and form.block_width == 1
+    with pytest.raises(DomainError, match="would have distance 1; the family stops at distance 2"):
         child_code(form)
 
 

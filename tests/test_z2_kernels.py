@@ -3,8 +3,9 @@ in chunks of site subsets, and the bitset rank over Z_2.
 
 Pins the first witness of every p = 2 catalog table, checks tables with
 more than 64 generators (several words per syndrome) against the
-exhaustive ``oracles.first_undetectable``, and checks the Z_2 rank
-against the pivots of ``linalg.rref``.
+exhaustive ``oracles.first_undetectable``, and checks the packed Z_2
+elimination: ``linalg.rank`` against the pivots of ``linalg.rref``, and
+both against the row-by-row ``oracles.rref_rows``.
 """
 
 import random
@@ -21,7 +22,7 @@ from amecodes.cli import main
 from amecodes.codes import GeneratorTable, find_min_undetectable
 from amecodes.fields import GF
 from amecodes.pauli import PauliString
-from oracles import first_undetectable
+from oracles import first_undetectable, rref_rows
 
 X, Z, Y, I = (1, 0), (0, 1), (1, 1), (0, 0)
 
@@ -113,3 +114,12 @@ def z2_matrices(draw):
 def test_z2_rank_matches_rref(a):
     assert linalg.rank(a, 2) == len(linalg.rref(a, 2)[1])
     assert linalg.rank(a.T, 2) == linalg.rank(a, 2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(z2_matrices())
+def test_z2_rref_matches_the_row_by_row_elimination(a):
+    red, pivots = linalg.rref(a, 2)
+    want, want_pivots = rref_rows(a.tolist(), 2)
+    assert red.dtype == np.int64 and red.tolist() == want and pivots == want_pivots
+    assert linalg.rank(a, 2) == len(want_pivots)
