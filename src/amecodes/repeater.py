@@ -17,11 +17,14 @@ share their argmin (the numerators differ by a constant factor) and are
 independent of t0 since R carries 1/t0.  The L0 grid is the physically
 meaningful one: integer link counts r = 1..floor(L_tot / 0.1 km).  At a
 fixed distance and channel, L0 * P_success^r depends only on (n, d); k
-and q only scale it.  One optimizer screens each (n, d) over the whole
-grid in log space, then evaluates the exact float expression at the few
-link counts in a derived window around the screen's maximum, and every
-code of a call with that (n, d) reads its minimum there, bit for bit as
-on the full grid.  Nothing is cached across calls.
+and q only scale it.  One optimizer screens every (n, d) of a call in log
+space, coarse to fine: a first level at every link count up to a cap and
+at a geometric sample past it, then bisection of only the intervals that
+an interval bound cannot rule out.  It then evaluates the exact float
+expression at the few link counts in a derived window around the screen's
+maximum, and every code of the call with that (n, d) reads its minimum
+there, bit for bit as on the full grid.  Short grids skip the screen and
+evaluate every link count.  Nothing is cached across calls.
 """
 
 from __future__ import annotations
@@ -116,16 +119,20 @@ def rate(code: CodeParams, plan: LinkPlan, ch: ChannelParams) -> float:
     return code.k * math.log2(code.q) * ps**plan.links
 
 
-def link_grid(l_tot: float) -> np.ndarray:
-    """Integer link counts 1..floor(L_tot / 0.1 km), for L_tot up to 100,000 km."""
+def _link_count(l_tot: float) -> int:
+    """floor(L_tot / 0.1 km), at least one, for L_tot up to 100,000 km."""
     if not l_tot > 0:  # NaN included
         raise DomainError(f"total distance must be positive, got {l_tot}")
     if l_tot > MAX_LTOT_KM:
         raise DomainError(
             f"total distance {l_tot:g} km exceeds the {MAX_LTOT_KM:g} km bound (10^6 link counts)"
         )
-    r_max = max(1, int(l_tot / MIN_LINK_KM))
-    return np.arange(1, r_max + 1)
+    return max(1, int(l_tot / MIN_LINK_KM))
+
+
+def link_grid(l_tot: float) -> np.ndarray:
+    """Integer link counts 1..floor(L_tot / 0.1 km), for L_tot up to 100,000 km."""
+    return np.arange(1, _link_count(l_tot) + 1)
 
 
 def fixed_link_count(l_tot: float, l0: float, ltot_flag: str = "--ltot") -> int:
@@ -155,6 +162,145 @@ def _per_photon(code: CodeParams) -> float:
 
 
 _EPS = 2.0**-51  # two ulps: the relative error allowed to one float op, exp, log or power
+_EXACT_POINTS = 2**11  # (n, d) x link counts up to which every link count is evaluated
+_DENSE_POINTS = 2**15  # (n, d) x link counts up to which level 0 takes every link count
+_STEP = 1 / 64  # past that, level 0 samples link counts a factor 1 + _STEP apart
+
+
+def _screen_points(l_tot, ch, r, n, coef):
+    """s, log L0 and p_l at the link counts ``r`` (floats), for the (n, d)
+    that ``n`` and the Horner coefficients ``coef`` give (C(n, j) from
+    j = d_max - 1 down to 0, zero above d - 1), broadcast against ``r``, so
+    that the terms of one link count are computed once for every (n, d)."""
+    l0 = l_tot / r
+    p_l = 1.0 - ch.eta_c * np.exp(-l0 / ch.l_att)
+    rho = 1.0 - p_l
+    r_log_q = np.log(rho)
+    r_log_q *= r
+    np.divide(p_l, rho, out=rho)
+    s = np.empty(coef.shape[1:-1] + r.shape)
+    s[...] = coef[0]
+    for c in coef[1:]:  # 0 * rho + 0 = 0 until the first coefficient of this d
+        s *= rho
+        s += c
+    np.log(s, out=s)
+    s *= r
+    s += n * r_log_q
+    log_l0 = np.log(l0, out=l0)
+    s += log_l0
+    return s, log_l0, p_l
+
+
+def _horner_coefficients(pairs):
+    """C(n, j) per (n, d) of ``pairs`` (columns), for j = d_max - 1 down to
+    0 (rows), zero above d - 1."""
+    top = max(d for _, d in pairs)
+    return np.array([math.comb(n, j) if j < d else 0 for j in range(top - 1, -1, -1)
+                     for n, d in pairs], dtype=float).reshape(top, len(pairs))
+
+
+def _log_q_bound(l_tot: float, ch: ChannelParams, r_max: int) -> float:
+    """M >= -r log q at every link count where q > 0, from the channel alone.
+
+    With z = L0 / L_att and y = eta_c e^-z as computed: where y >= 1/2,
+    1 - y and then q = 1 - (1 - y) = y are exact (Sterbenz); where y < 1/2,
+    q = 1 - fl(1 - y) >= max(2^-53, y - 2^-54) >= y / 2.  So -log q <=
+    z - log eta_c + 2e, plus log 2 where y < 1/2, which needs z >
+    log(2 eta_c) - 2e, so r < r_half = (1 + e) L_tot / (L_att (log(2 eta_c)
+    - 2e)).  With r z <= (1 + e) L_tot / L_att and two roundings in r log q,
+    M = (1 + 4e)((1 + e) L_tot / L_att + r_max (2e - log eta_c) + log 2
+    min(r_max, r_half)).  At eta_c = 0, q = 0 everywhere and M = inf.
+    """
+    if ch.eta_c == 0:
+        return math.inf
+    span = (1 + _EPS) * l_tot / ch.l_att
+    gain = math.log(2 * ch.eta_c) - 2 * _EPS
+    r_half = min(r_max, span / gain) if gain > 0 else r_max
+    return (1 + 4 * _EPS) * (span + r_max * (2 * _EPS - math.log(ch.eta_c))
+                             + math.log(2) * r_half)
+
+
+def _refine(l_tot, ch, r0, s0, log_l0, n, coef, top, tau):
+    """Evaluate the link counts between level 0's samples that may hold the
+    window; return (pair, link count, s, p_l) of each, with ``top`` raised in place.
+
+    For link counts a < r < b: P_success does not increase with p_l, nor
+    p_l with L0 = L_tot / r (each rounded op that computes it, exp included,
+    is monotone), so G = log P_success does not decrease with r, and the
+    exact log at r is at most B = log(L_tot/a) + a G_b, where
+    G_b = (S_b - log(L_tot/b)) / b.  B^, computed from s_b and the log L0 of
+    a and b, is within tau + 5e max|log L0| + 2e + 4.2e|B^| <= 3.6 tau +
+    4.2e|B^| of B.  A count of the window has exact log >= top - 3 tau - 2e,
+    so an interval with B^ + 8e|B^| < top - 16 tau holds none (the margin
+    covers the comparison's own rounding, as e|top| <= tau) and is dropped;
+    the others are bisected, and the loop ends when no interval has a link
+    count inside.  The running top is never above the grid's top, and the
+    interval that holds the grid's top is never dropped, so top, the window
+    and the floor come out as on the full grid.  s_b = nan (q = 0 at b, so
+    at every count below b) gives B^ = nan, and the interval is dropped.  An
+    interval whose left end overflows (s = +inf) is kept: rho falls with r,
+    so s overflows on a prefix of the link counts, and the window takes each
+    such count, as the full grid does.
+    """
+    cut = np.flatnonzero(np.diff(r0) > 1)
+    left, right = (np.stack([np.tile(r0[i], len(n)), s0[:, i].ravel(),
+                             np.tile(log_l0[i], len(n))]) for i in (cut, cut + 1))
+    at = np.repeat(np.arange(len(n)), len(cut))
+    found = []
+    while len(at):
+        (a, s_a, ll_a), (b, s_b, ll_b) = left, right
+        bound = ll_a + a * ((s_b - ll_b) / b)
+        bound += 8 * _EPS * np.abs(bound)
+        keep = np.flatnonzero((s_a == np.inf) | (bound >= (top - 16 * tau).take(at)))
+        left, right, at = left.take(keep, axis=1), right.take(keep, axis=1), at.take(keep)
+        r = np.floor((left[0] + right[0]) / 2)
+        s, ll, p_l = _screen_points(l_tot, ch, r, n.take(at), coef.take(at, axis=1))
+        np.maximum.at(top, at, np.where(np.isfinite(s), s, -np.inf))
+        found.append((at, r, s, p_l))
+        mid = np.stack([r, s, ll])
+        left = np.concatenate([left, mid], axis=1)
+        right = np.concatenate([mid, right], axis=1)
+        at = np.concatenate([at, at])
+        inner = np.flatnonzero(right[0] - left[0] > 1)
+        left, right, at = left.take(inner, axis=1), right.take(inner, axis=1), at.take(inner)
+    return [np.concatenate(v) for v in zip(*found)]
+
+
+def _screen(l_tot, ch, pairs, r_max):
+    """Per (n, d) of ``pairs``: the link counts of its window, in order, and
+    p_l there, or None where the floor asks for every link count (see
+    ``_screened_curves``)."""
+    dense = max(1, _DENSE_POINTS // len(pairs))
+    r0 = np.arange(1.0, min(r_max, dense) + 1)
+    if r_max > dense:
+        steps = math.ceil(math.log(r_max / dense) / math.log1p(_STEP))
+        sample = np.unique(np.floor(dense * (1 + _STEP) ** np.arange(1, steps)))
+        r0 = np.concatenate([r0, sample[sample < r_max], [float(r_max)]])
+    n = np.array([pn for pn, _ in pairs], dtype=float)
+    coef = _horner_coefficients(pairs)
+    sampled = len(r0) < r_max
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        s, log_l0, p0 = _screen_points(l_tot, ch, r0, n[:, None], coef[:, :, None])
+        top = s.max(axis=1, where=np.isfinite(s), initial=-np.inf)
+        mag = _log_q_bound(l_tot, ch, r_max)
+        spread = 2 * max(abs(log_l0[0]), abs(log_l0[-1])) + 3
+        tau = [_EPS * (4 * pd * r_max + 9 * pn * mag + spread) for pn, pd in pairs]
+        if sampled:
+            at, r, s_r, p_r = _refine(l_tot, ch, r0, s, log_l0, n, coef, top, np.array(tau))
+        low = np.array([t - 2 * ta - 2 * _EPS for t, ta in zip(top.tolist(), tau)])
+        own, cols = np.divmod(np.flatnonzero(s >= low[:, None]), len(r0))
+        links, p = r0[cols], p0[cols]
+        if sampled:
+            kept = np.flatnonzero(s_r >= low.take(at))
+            own, links, p = (np.concatenate([v, w.take(kept)])
+                             for v, w in ((own, at), (links, r), (p, p_r)))
+            order = np.lexsort((links, own))
+            own, links, p = own[order], links[order], p[order]
+    ends = np.searchsorted(own, np.arange(len(pairs) + 1)).tolist()
+    log_l = float(log_l0[0])
+    return [(links[ends[i]:ends[i + 1]], p[ends[i]:ends[i + 1]])
+            if t >= log_l + (pn + 8 - 1022) * math.log(2) + ta + 2 * _EPS else None
+            for i, ((pn, _), t, ta) in enumerate(zip(pairs, top.tolist(), tau))]
 
 
 def _screened_curves(l_tot: float, ch: ChannelParams, pairs: list[tuple[int, int]]):
@@ -167,53 +313,50 @@ def _screened_curves(l_tot: float, ch: ChannelParams, pairs: list[tuple[int, int
     each op, exp, log and power within e = 2^-51 (two ulps), the real value
     at the same p_l, q is within r(d+3)e + 3e of the exact log and within
     3r(d-1)e + 9e n r|log q| + 2e|log L0| of s, so |s - exact log| <= tau =
-    e (4d max r + 9n max r|log q| + 2 max|log L0| + 3); the first argmin of
+    e (4d r_max + 9n M + 2 max|log L0| + 3), where M bounds r|log q| over
+    the grid from the channel alone (``_log_q_bound``); the first argmin of
     the rounded costs is within 2e of the largest exact log, so it has
-    s >= max(s) - 2 tau - 2e.  s is nan or -inf only where q = 0, so
-    P_success = 0 (d <= n); +inf (overflow) is kept.  Floor: the bounds need
-    P_success^r normal at the top and at the argmin, where L0 P_success^r >=
-    exp(max(s) - tau - 2e).  With L0 <= L_tot and f = 2^-1022, the smallest
-    normal double, max(s) >= log(L_tot f) + (n + 8) log 2 + tau + 2e gives
-    P_success^r >= 2^(n+8) f there; the binomial terms' underflow, at most
-    (2^n + 2d) 2^-1075, is then below 2^-59 of P_success at r = 1 (less at
-    r > 1, where P_success >= f^(1/r)), inside the slack of e over a
-    correctly rounded sum.  Below the floor (the rate underflows, or eta_c
-    = 0) every link count is evaluated.
+    s >= top - 2 tau - 2e, top the largest finite s.  s is nan only where
+    q = 0, so P_success = 0 (d <= n); +inf (overflow) is kept.  Floor: the
+    bounds need P_success^r normal at the top and at the argmin, where L0
+    P_success^r >= exp(top - tau - 2e).  With L0 <= L_tot and f = 2^-1022,
+    the smallest normal double, top >= log(L_tot f) + (n + 8) log 2 + tau +
+    2e gives P_success^r >= 2^(n+8) f there; the binomial terms' underflow,
+    at most (2^n + 2d) 2^-1075, is then below 2^-59 of P_success at r = 1
+    (less at r > 1, where P_success >= f^(1/r)), inside the slack of e over
+    a correctly rounded sum.  Below the floor (the rate underflows, or
+    eta_c = 0) every link count is evaluated.
+
+    Coarse to fine: level 0 computes s at every link count while the call's
+    (n, d) times link counts stays within _DENSE_POINTS, and past that at
+    counts a factor 1 + _STEP apart up to r_max, for every (n, d) in one
+    array; ``_refine`` then bounds the link counts in between and bisects
+    only the intervals that may hold the window.  The window, top and floor
+    are those of a full-grid screen; no shape of the curve is assumed.  A
+    refinement costs about 10 levels of some 50 numpy calls, as much as one
+    pass over 2 10^4 link counts of one (n, d), or 2 10^3 of the catalog
+    grid's 21 (2-vCPU VM), hence _DENSE_POINTS = 2^15.  Up to _EXACT_POINTS
+    (n, d) times link counts every link count is evaluated and nothing is
+    screened, which there costs less than the screen's fixed numpy calls:
+    43 against 64 us at 1,000 link counts of (5, 3); at 2,000 the screen
+    already wins for (9, 5), 88 against 111 us.
     """
-    r = link_grid(l_tot).astype(float)
-    l0 = l_tot / r
-    p_l = 1.0 - ch.eta_c * np.exp(-l0 / ch.l_att)
-    windows = []
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        rho = 1.0 - p_l
-        r_log_q = np.log(rho)
-        r_log_q *= r
-        np.divide(p_l, rho, out=rho)
-        log_l0 = np.log(l0, out=l0)
-        mag = -r_log_q.min(where=r_log_q > -np.inf, initial=0.0)
-        spread = 2 * max(abs(log_l0[0]), abs(log_l0[-1])) + 3
-        for n, d in pairs:
-            s = np.full_like(rho, math.comb(n, d - 1))
-            for j in range(d - 2, -1, -1):
-                s *= rho
-                s += math.comb(n, j)
-            np.log(s, out=s)
-            s *= r
-            s += n * r_log_q
-            s += log_l0
-            top = s.max(where=np.isfinite(s), initial=-np.inf)
-            tau = _EPS * (4 * d * r[-1] + 9 * n * mag + spread)
-            floor = log_l0[0] + (n + 8 - 1022) * math.log(2) + tau + 2 * _EPS
-            windows.append(np.flatnonzero(s >= top - 2 * tau - 2 * _EPS)
-                           if top >= floor else slice(None))
-    del rho, r_log_q, log_l0, s
-    for (n, d), idx in zip(pairs, windows):
-        links, p = r[idx], p_l[idx]
+    r_max = _link_count(l_tot)
+    if r_max * len(pairs) <= _EXACT_POINTS:
+        windows = [None] * len(pairs)
+    else:
+        windows = _screen(l_tot, ch, pairs, r_max)
+    for (n, d), window in zip(pairs, windows):
+        if window is None:
+            links = link_grid(l_tot).astype(float)
+            p = 1.0 - ch.eta_c * np.exp(-(l_tot / links) / ch.l_att)
+        else:
+            links, p = window
         acc = np.zeros_like(p)
         for j in range(d):
             acc = acc + math.comb(n, j) * p**j * (1.0 - p) ** (n - j)
         survival = np.minimum(acc, 1.0) ** links
-        del acc  # the caller divides on every link count in the underflow regime
+        del p, acc  # the caller divides on every link count in the underflow regime
         yield links, survival
 
 
@@ -223,7 +366,8 @@ def _minimize_costs(
     """Per code: the minimum of numerator(code) / (L0 * R * t0) over the
     integer-r grid (t0 cancels), its plan, and L0 * R * t0 at that plan.
 
-    Codes with the same (n, d) share one screened curve.
+    Codes with the same (n, d) share one screened curve, and one 2-D
+    argmin reads all their minima off it.
     """
     if any(code.k == 0 for code in codes):
         raise DomainError("cost factors need k >= 1 (no information transmitted)")
@@ -235,13 +379,13 @@ def _minimize_costs(
     pairs = sorted(groups)
     out = {}
     for pair, (links, survival) in zip(pairs, _screened_curves(l_tot, ch, pairs)):
-        l0 = l_tot / links
-        for code in groups[pair]:
-            throughput = l0 * (code.k * math.log2(code.q) * survival)
-            with np.errstate(divide="ignore", over="ignore"):
-                cost = numerator(code) / throughput
-            best = int(np.argmin(cost))
-            out[code] = float(cost[best]), LinkPlan(l_tot, int(links[best])), throughput[best]
+        group = groups[pair]
+        throughput = np.multiply.outer([code.k * math.log2(code.q) for code in group], survival)
+        throughput *= l_tot / links
+        with np.errstate(divide="ignore", over="ignore"):
+            cost = np.array([numerator(code) for code in group], dtype=float)[:, None] / throughput
+        for row, (code, i) in enumerate(zip(group, cost.argmin(axis=1).tolist())):
+            out[code] = float(cost[row, i]), LinkPlan(l_tot, int(links[i])), throughput[row, i]
     return out
 
 
@@ -297,7 +441,7 @@ def _optimal_ks(
     costs = _minimize_costs(codes, l_tot, ch, _per_photon)
     out = {}
     for (n, q), kids in families.items():
-        best = min(kids, key=lambda c: costs[c][0])
+        best = min(kids, key=lambda c: (costs[c][0], c.k))
         if len(kids) > 1:
             _require_finite(costs[best][0], f"every child of AME({n},{q})", l_tot, ch)
         out[(n, q)] = best.k

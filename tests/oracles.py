@@ -7,7 +7,8 @@ arithmetic below) and never through its symplectic machinery, so expected
 values stay independent of the code paths they check: naive polynomial arithmetic over Z_p[x]/(modulus), row reduction
 one row at a time, dense Pauli matrices built by Kronecker products,
 the scalar Pauli group algebra site by site, exhaustive searches, and
-the repeater cost curve evaluated on its own full link grid for each code.
+the repeater cost curve and log-space screen evaluated on their own full
+link grid.
 """
 
 from __future__ import annotations
@@ -311,3 +312,47 @@ def repeater_rate(n, k, d, q, l_tot, links, l_att, eta_c):
     ps = min(math.fsum(math.comb(n, j) * p**j * (1.0 - p) ** (n - j)
                        for j in range(min(d - 1, n) + 1)), 1.0)
     return ps, k * math.log2(q) * ps**links
+
+
+EPS = 2.0**-51
+
+
+def repeater_window(n, d, l_tot, l_att, eta_c):
+    """(window, M, observed) of the log-space screen of one (n, d), with
+    every link count r = 1..floor(L_tot / 0.1 km) evaluated at once.
+
+    s = log L0 + r (n log q + log sum_{j<d} C(n,j) rho^j) by Horner's rule,
+    top = its largest finite value, M = the channel's closed-form bound on
+    -r log q and observed = the largest finite -r log q of the grid, tau =
+    e (4 d r_max + 9 n M + 2 max|log L0| + 3); the window is the link counts
+    with s >= top - 2 tau - 2e, or None below the floor top >= log L_tot +
+    (n + 8 - 1022) log 2 + tau + 2e, where every link count is evaluated.
+    """
+    r = np.arange(1, max(1, int(l_tot / 0.1)) + 1).astype(float)
+    r_max = len(r)
+    l0 = l_tot / r
+    p_l = 1.0 - eta_c * np.exp(-l0 / l_att)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        q = 1.0 - p_l
+        r_log_q = np.log(q) * r
+        rho = p_l / q
+        poly = np.full_like(rho, math.comb(n, d - 1))
+        for j in range(d - 2, -1, -1):
+            poly = poly * rho + math.comb(n, j)
+        log_l0 = np.log(l0)
+        s = np.log(poly) * r + n * r_log_q + log_l0
+        top = s.max(where=np.isfinite(s), initial=-np.inf)
+        observed = -r_log_q.min(where=np.isfinite(r_log_q), initial=0.0)
+    if eta_c == 0:
+        m = math.inf
+    else:
+        # y = eta_c e^(-L0 / L_att) is below 1/2 only where r < r_half
+        span = (1 + EPS) * l_tot / l_att
+        gain = math.log(2 * eta_c) - 2 * EPS
+        r_half = min(r_max, span / gain) if gain > 0 else r_max
+        m = (1 + 4 * EPS) * (span + r_max * (2 * EPS - math.log(eta_c)) + math.log(2) * r_half)
+    spread = 2 * max(abs(log_l0[0]), abs(log_l0[-1])) + 3
+    tau = EPS * (4 * d * r_max + 9 * n * m + spread)
+    if not top >= float(log_l0[0]) + (n + 8 - 1022) * math.log(2) + tau + 2 * EPS:
+        return None, m, observed
+    return r[s >= top - 2 * tau - 2 * EPS], m, observed

@@ -14,6 +14,7 @@ from amecodes.fields import GF
 from amecodes.oracle import (CodewordSet, ame_projection_codewords, dense_distance,
                              expand_stabilizer, knill_laflamme_check, reduced_entropy)
 from amecodes.pauli import PauliString, StateVector
+from oracles import all_errors, dense_pauli
 
 LOG2_3 = math.log2(3)
 
@@ -282,3 +283,25 @@ def test_codeword_set_validates_orthonormality():
     w = StateVector(f2, 1, np.array([1, 0], dtype=complex))
     with pytest.raises(DomainError, match="not orthonormal"):
         CodewordSet(f2, 1, (w, w))
+
+
+def test_knill_laflamme_flags_a_deviation_between_1e_9_and_1e_3():
+    # one codeword of [[4,1,2]]_2 turned by 1e-6 toward a unit vector
+    # orthogonal to the code space: still orthonormal, but each weight-1
+    # error now acts on the code space as a scalar only up to about 1e-6
+    cw = expand_stabilizer(catalog.load_table("code_4_1_2_2"))
+    assert cw.K == 2 and knill_laflamme_check(cw, 2) is None
+    basis = np.array([w.amplitudes for w in cw.words])
+    away = np.random.default_rng(27).standard_normal(16).astype(complex)
+    away -= basis.T @ (basis.conj() @ away)
+    away /= np.linalg.norm(away)
+    theta = 1e-6
+    turned = np.cos(theta) * basis[0] + np.sin(theta) * away
+    tilted = CodewordSet(cw.field, 4, (StateVector(cw.field, 4, turned), cw.words[1]))
+    words = np.array([turned, basis[1]])
+    deviation = 0.0
+    for sites in all_errors(2, 4, 1):
+        g = words.conj() @ dense_pauli(cw.field, sites) @ words.T
+        deviation = max(deviation, np.abs(g - np.trace(g) / 2 * np.eye(2)).max())
+    assert 1e-9 < deviation < 1e-3
+    assert knill_laflamme_check(tilted, 2) is not None

@@ -8,13 +8,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from amecodes import repeater
 from amecodes.catalog import catalog_grid
 from amecodes.codes import CodeParams
 from amecodes.errors import DomainError
-from amecodes.repeater import (ChannelParams, LinkPlan, _screened_curves, children_params,
-                               cost_report, figure_rows, link_grid, loss_probability,
-                               optimal_k_table, p_success, rate)
-from oracles import repeater_costs, repeater_rate
+from amecodes.repeater import (ChannelParams, LinkPlan, _optimal_ks, _screen, _screened_curves,
+                               children_params, cost_report, figure_rows, link_grid,
+                               loss_probability, optimal_k_table, p_success, rate)
+from oracles import repeater_costs, repeater_rate, repeater_window
 
 CH = ChannelParams()
 GRID = [(n, q, existence) for (n, q), existence in sorted(catalog_grid().items())]
@@ -183,6 +184,16 @@ def test_optimal_k_forced_single_child():
     assert optimal_k_table([(4, 3, "exists")], [1000.0, 10000.0], CH) == {(4, 3): ["1", "1"]}
     with pytest.raises(DomainError, match=re.escape("AME(2,2) has no children")):
         optimal_k_table([(2, 2, "exists")], [1000.0], CH)
+
+
+@pytest.mark.parametrize("l_tot", [10.0, 1000.0, 1234.5, 10000.0])
+def test_optimal_k_ties_pick_the_smaller_k_in_either_order(l_tot):
+    # C_LT of [[5,1,2]]_2 and [[5,2,2]]_16 ties exactly: 16 / (2 log2 16) = 2 / 1,
+    # and both scalings are powers of two
+    k1, k2 = CodeParams(5, 1, 2, 2), CodeParams(5, 2, 2, 16)
+    assert reference_costs(k1, l_tot, CH)[1][0] == reference_costs(k2, l_tot, CH)[1][0]
+    for kids in ([k1, k2], [k2, k1]):
+        assert _optimal_ks({(6, 2): kids}, l_tot, CH) == {(6, 2): 1}
 
 
 def test_optimal_k_table_markers_and_values():
@@ -451,3 +462,53 @@ def test_screen_takes_in_link_counts_where_poly_overflows():
     links, _ = next(_screened_curves(10000.0, CH, [(44, 21)]))
     assert 14 in links.tolist()
     assert_both_argmins(cost_report(code, 10000.0, CH), code, 10000.0, CH)
+
+
+PAIRS = st.integers(2, 44).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(1, min(21, n // 2 + 1))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(l_tot=st.floats(0.05, 100000.0, exclude_min=True),
+       l_att=st.one_of(st.just(20.0), st.floats(1e-3, 1e4)),
+       eta_c=st.one_of(st.sampled_from([0.0, 1e-3, 1.0]), st.floats(1e-3, 1.0)),
+       pairs=st.lists(PAIRS, min_size=1, max_size=3, unique=True))
+@example(l_tot=10000.0, l_att=20.0, eta_c=1.0, pairs=[(44, 21), (14, 7)])
+@example(l_tot=100000.0, l_att=20.0, eta_c=0.99999, pairs=[(8, 2)])
+@example(l_tot=100000.0, l_att=20.0, eta_c=1.0, pairs=[(8, 2), (44, 21)])
+@example(l_tot=10000.0, l_att=20.0, eta_c=0.98, pairs=[(12, 7), (14, 7)])
+@example(l_tot=1000.0, l_att=1e-3, eta_c=1e-3, pairs=[(6, 2)])
+@example(l_tot=1000.0, l_att=1e300, eta_c=1.0, pairs=[(6, 2), (9, 3)])
+@example(l_tot=3000.0, l_att=20.0, eta_c=0.0, pairs=[(6, 2)])
+def test_screen_windows_match_the_full_grid(l_tot, l_att, eta_c, pairs):
+    # the coarse-to-fine screen gives each (n, d) the window, or the floor's
+    # None, of one screen over every link count; and the channel's bound on
+    # -r log q holds on that grid
+    pairs = sorted(pairs)
+    got = _screen(l_tot, ChannelParams(l_att, eta_c), pairs, len(link_grid(l_tot)))
+    for pair, window in zip(pairs, got, strict=True):
+        want, bound, observed = repeater_window(*pair, l_tot, l_att, eta_c)
+        assert observed <= bound
+        if want is None:
+            assert window is None, pair
+        else:
+            assert window is not None and window[0].tolist() == want.tolist(), pair
+
+
+def test_screen_evaluates_a_small_fraction_of_the_catalog_grid(monkeypatch):
+    # every (n, d) of the catalog's children at 10,000 km: 21 x 10^5 link
+    # counts on the full grid
+    kids = [code for n, q, e in GRID if e == "exists" for code in reference_children(n, q)]
+    pairs = sorted({(code.n, code.d) for code in kids})
+    evaluated = []
+
+    def counting(*args, screen_points=repeater._screen_points):
+        out = screen_points(*args)
+        evaluated.append(out[0].size)
+        return out
+
+    monkeypatch.setattr(repeater, "_screen_points", counting)
+    assert len(pairs) == 21
+    windows = list(_screened_curves(10000.0, CH, pairs))
+    assert len(windows) == 21 and len(evaluated) > 1
+    assert sum(evaluated) < 21 * 10**5 // 20, sum(evaluated)
