@@ -19,16 +19,25 @@ generators, summed over an error's sites.  For p = 2 (q = 2, 4, 8) it is
 a bit vector, packed by :func:`~amecodes.linalg.pack_bits` into
 ceil(N / 64) ``uint64`` words, and syndromes add by XOR (the tableau
 packing of Aaronson and Gottesman, PRA 70, 052328 (2004)); for p > 2 they
-are Z_p vectors added as integers and reduced mod p.  A weight class
-whose subsets each hold at most ``_BLOCK_ROWS`` errors is scanned in
-chunks of as many consecutive subsets as fill ``_BLOCK_ROWS`` rows, their
-syndrome sums built by broadcasting; zero rows are taken in (subset, flat
-row) order, so the first one that counts is the first witness.  A larger
-class is screened: each subset A is decided by the Z_p kernel of the
-syndrome map restricted to it (``site_map[A]``, 2m|A| rows, N columns).
-Lighter classes are clear by then, so every error inside A that counts
-lies in that kernel with full support on A, and A holds one exactly when
-some row of the kernel's nullspace basis counts.  The kernel of the
+are Z_p vectors added as integers and reduced mod p.  A weight-w class
+whose subsets each hold at most 4 * ``_BLOCK_ROWS`` errors is scanned in
+chunks of as many consecutive subsets as fill that many errors, by a
+join: an error has zero syndrome exactly when the sum over its leading
+ceil(w/2) sites (the head) is minus the sum over its trailing floor(w/2)
+(the tail).  A chunk builds (q^2-1)^ceil(w/2) head rows and
+(q^2-1)^floor(w/2) negated tail rows per subset, not (q^2-1)^w whole
+syndromes, keys each row by a linear hash into one ``uint64``, and
+matches keys in one broadcast comparison of shape (subsets, head rows,
+tail rows), a byte an error.  An error's flat row is its head index times
+the tail rows plus its tail index, so matches come in (subset, flat row)
+order; each is compared exactly, which drops hash collisions, and the
+first that counts is the first witness.  A larger class is screened,
+where one kernel a subset costs less than a join: each subset A is
+decided by the Z_p kernel of the syndrome map restricted to it
+(``site_map[A]``, 2m|A| rows, N columns).  Lighter classes are clear
+by then, so every error inside A that counts lies in that kernel with
+full support on A, and A holds one exactly when some row of the
+kernel's nullspace basis counts.  The kernel of the
 first such subset is read off that basis, at most ``_BLOCK_ROWS``
 combinations at a time; the witness is the least full-support element
 that counts, the one the unscreened scan finds.  For k > 0 an error
@@ -56,9 +65,13 @@ from .fields import Field
 from .pauli import PauliString, error_count, error_on, sites_from_matrix
 
 DEFAULT_DISTANCE_BUDGET = 10**9
-# errors, or kernel combinations, a distance scan holds at once; classes
-# whose subsets each hold more are screened (see the module docstring)
+# kernel combinations a distance scan holds at once; a join holds four
+# times as many errors, and classes whose subsets each hold more are
+# screened (see the module docstring)
 _BLOCK_ROWS = 2**12
+# the key hash's base, odd so that a one-word key is a bijection of the
+# word (Knuth's multiplicative constant, 2**64 over the golden ratio)
+_KEY_BASE = 0x9E3779B97F4A7C15
 
 QMDS = "QMDS"
 SUBOPTIMAL_QMDS = "suboptimal-QMDS"
@@ -231,7 +244,7 @@ def find_min_undetectable(
     commutation-test count past it.  A subset of a screened class is
     decided by the kernel of its syndrome map.  For k > 0 errors in the
     group do not count (see the module docstring); commuting or not, the
-    result does not depend on ``_BLOCK_ROWS``.
+    result depends neither on ``_BLOCK_ROWS`` nor on the key hash.
     """
     require_budget(budget)
     f = table.field
@@ -244,11 +257,16 @@ def find_min_undetectable(
     pair_vecs = f.coeff_matrix[np.array(pairs)].reshape(n_pairs, 2 * m)
     site_map = _commutation_map(table).reshape(n, 2 * m, n_gens)
     site_syn = (pair_vecs @ site_map) % p
+    # the same as uint64 rows, and their negatives: for p = 2 packed bit
+    # vectors added by XOR (-s = s), for p > 2 Z_p vectors added as integers
     if p == 2:
-        # bit vectors: one XOR per 64 generators adds two syndromes
-        syn, add = linalg.pack_bits(site_syn), np.bitwise_xor
+        syn = neg_syn = linalg.pack_bits(site_syn)
+        add = np.bitwise_xor
     else:
-        syn, add = site_syn, np.add
+        syn, neg_syn, add = site_syn.astype(np.uint64), (-site_syn % p).astype(np.uint64), np.add
+    width = syn.shape[-1]
+    # a row's key is sum_j row_j * _KEY_BASE**(j + 1) mod 2**64 (wrapping array products)
+    mult = np.cumprod(np.full(width, _KEY_BASE, dtype=np.uint64))
 
     # for k > 0, ker M split per site like site_map: ker[s, coordinate, basis vector]
     ker = linalg.nullspace(table.symplectic_matrix(), p).T.reshape(n, 2 * m, -1) if table.k else None
@@ -259,6 +277,17 @@ def find_min_undetectable(
         if ker is None:
             return np.ones(len(vecs), dtype=bool)
         return (np.einsum("...sc,...scj->...j", vecs, ker[sites]) % p).any(axis=-1)
+
+    def reduced_sums(site_rows, sites):
+        """The reduced sums of ``site_rows`` (syn or neg_syn) over every
+        error on ``sites`` (one row of sites per subset), in flat order:
+        (subsets, n_pairs**len(row), width), one zero row each for no sites."""
+        if not sites.shape[1]:
+            return np.zeros((len(sites), 1, width), dtype=np.uint64)
+        block = site_rows[sites[:, 0]]
+        for s in sites[:, 1:].T:
+            block = add(block[:, :, None], site_rows[s][:, None]).reshape(len(sites), -1, width)
+        return block if p == 2 else block % p
 
     def kernel_witness(sites, basis):
         """First undetectable error, in flat order, with full support on
@@ -275,7 +304,6 @@ def find_min_undetectable(
             best = rows[np.lexsort(rows.T[::-1])[:1]]  # digits, not flat indices: q**2w overflows
         return error_on(f, n, sites, best[0])
 
-    width = syn.shape[-1]
     tests_done = 0
     for w in range(1, min(d_max, n) + 1):
         tests_done += error_count(f, n, w) * n_gens
@@ -285,24 +313,28 @@ def find_min_undetectable(
                 f"(budget {budget})"
             )
         subsets = itertools.combinations(range(n), w)
-        if n_pairs**w > _BLOCK_ROWS:
+        # a chunk joins as many consecutive subsets as fill 4 * _BLOCK_ROWS
+        # errors (its key match takes a byte an error); a class whose
+        # subsets each hold more is screened
+        per_chunk, head = 4 * _BLOCK_ROWS // n_pairs**w, (w + 1) // 2
+        if not per_chunk:
             for sites in map(list, subsets):
                 basis = linalg.nullspace(site_map[sites].reshape(-1, n_gens).T, p)
                 if len(basis) and counts(sites, basis.reshape(-1, w, 2 * m)).any():
                     return w, kernel_witness(sites, basis)
             continue
-        # as many consecutive subsets as fill a block
-        per_chunk = _BLOCK_ROWS // n_pairs**w
         for chunk in iter(lambda: list(itertools.islice(subsets, per_chunk)), []):
-            sites = np.array(chunk)
-            block = syn[sites[:, 0]]
-            for s in sites[:, 1:].T:
-                block = add(block[:, :, None], syn[s][:, None]).reshape(len(chunk), -1, width)
-            # zero syndromes in (subset, flat row) order; the first that counts
-            zero = np.flatnonzero(~(block if p == 2 else block % p).any(axis=-1))
-            if len(zero):
-                i, *digits = np.unravel_index(zero, (len(chunk),) + (n_pairs,) * w)
-                digits = np.stack(digits, axis=1)
+            sites = np.fromiter(itertools.chain.from_iterable(chunk), np.int64).reshape(-1, w)
+            # zero syndrome: the head's sum is minus the tail's; keys match
+            # in (subset, head row, tail row) = (subset, flat row) order
+            heads, tails = reduced_sums(syn, sites[:, :head]), reduced_sums(neg_syn, sites[:, head:])
+            match = np.flatnonzero((heads @ mult)[:, :, None] == (tails @ mult)[:, None])
+            if len(match):
+                i, flat = np.divmod(match, n_pairs**w)
+                h, t = np.divmod(flat, tails.shape[1])
+                exact = (heads[i, h] == tails[i, t]).all(axis=-1)  # not a key collision
+                i, flat = i[exact], flat[exact]
+                digits = np.stack(np.unravel_index(flat, (n_pairs,) * w), axis=1)
                 hit = counts(sites[i], pair_vecs[digits])
                 if hit.any():
                     j = hit.argmax()

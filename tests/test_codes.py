@@ -250,8 +250,9 @@ def test_distance_refuses_a_negative_budget():
 
 def test_non_commuting_table_gives_one_witness_at_every_block_size():
     # site 0 holds group elements but no error that commutes with both
-    # generators; its kernel is empty, so the screened scan moves on too
-    t = table("code n=2 q=2 k=0\ng1: x1 i\ng2: z1 i\n")
+    # generators; its kernel is empty, so the screened scan (weight 1 at
+    # block size 1: 8 errors a subset overflow a join of 4) moves on too
+    t = table("code n=2 q=3 k=0\ng1: x1 i\ng2: z1 i\n")
     for block in (1, 97, codes._BLOCK_ROWS):
         with mock.patch.object(codes, "_BLOCK_ROWS", block):
             hit = find_min_undetectable(t, 2)

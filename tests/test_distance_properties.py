@@ -1,15 +1,22 @@
-"""Property tests: the distance scan (chunks of whole subsets, then
-screened subsets, each decided by the kernel of its syndrome map) finds
-the same first undetectable error as an exhaustive scan, whatever the
-block size, and holds no more than a few blocks in memory.
+"""Property tests: the distance scan (chunks of whole subsets joined by
+head and tail keys, then screened subsets, each decided by the kernel of
+its syndrome map) finds the same first undetectable error as an
+exhaustive scan, whatever the block size, also under key hashes that
+collide, and holds no more than a few blocks in memory.
 
 The reference is ``oracles.first_undetectable``, which tests every error
-of every subset with scalar trace arithmetic.  With ``_BLOCK_ROWS`` = 1
-every weight class is screened and each kernel is read one combination
-at a time; at the default only the large classes are screened.  Random
-independent tables that need not commute are checked too: independence
-for k > 0 is the scan's one precondition.  Every catalog table and
-family member gives one witness at every block size.  The Cauchy
+of every subset with scalar trace arithmetic.  With ``_BLOCK_ROWS`` = 1 a
+join holds 4 errors, so only the qubit weight-1 class is joined, one
+subset a chunk, and every other class is screened, each kernel read one
+combination at a time; at 97 a join holds 388 errors, so qubit weight 5
+and q = 4 weight 2 are joined one subset a chunk, and lighter classes
+many; at the default only the large classes are screened.  Under a
+colliding key hash (base 1 keys a row by the plain sum of its entries,
+base 0 keys every row 0) only the exact row check tells a zero syndrome
+from a collision.  Random independent tables that need not commute are
+checked too: independence for k > 0 is the scan's one precondition.
+Every catalog table and family member gives one witness at every block
+size, and the exhaustive route's under colliding keys.  The Cauchy
 AME(8,11) and AME(10,11) states lie past the default budget and are
 checked against the rank route.
 """
@@ -103,8 +110,9 @@ BELL_AND_4_2_2 = stabtab.parse("code n=6 q=2 k=2\ng1: z1 z1 i i i i\ng2: x1 x1 i
 
 # a GF(9) Bell pair (X_a X_a for a = 1, alpha and Z_b Z_-b; index 5 is -1,
 # index 6 is -alpha) beside the [[4,2,2]]_9 code: weight 2 (80^2 errors a
-# subset) is screened at the default block size, and the kernel of subset
-# (0, 1) is nonzero but inside the group, so the scan must move on
+# subset) is screened at block sizes 1 and 97, and the kernel of subset
+# (0, 1) is nonzero but inside the group, so the scan must move on; at the
+# default the join meets those group elements first and moves on too
 BELL_AND_4_2_2_9 = stabtab.parse(
     "code n=6 q=9 k=2\nmodulus: 1,1,2\n"
     "g1: x1 x1 i i i i\ng2: x2 x2 i i i i\ng3: z1 z5 i i i i\ng4: z2 z6 i i i i\n"
@@ -117,15 +125,20 @@ DEPENDENT_4_1 = stabtab.parse("code n=4 q=2 k=1\ng1: x1 x1 x1 x1\ng2: z1 z1 z1 z
                               "g3: x1z1 x1z1 x1z1 x1z1\n")
 
 
+# the key hash's base, then two under which distinct rows collide
+KEY_BASES = (codes._KEY_BASE, 0, 1)
+
+
 def assert_scan_matches_the_exhaustive_route(table):
     w, sites = first_undetectable(table, table.n)
     n_pairs = table.field.q ** 2 - 1
-    for block in (1, 97, codes._BLOCK_ROWS):
+    for block, key_base in itertools.product((1, 97, codes._BLOCK_ROWS), KEY_BASES):
         if block == 1 and n_pairs**w > 10**5:
             continue  # one-error blocks: keep the scan short
-        with mock.patch.object(codes, "_BLOCK_ROWS", block):
+        with mock.patch.object(codes, "_BLOCK_ROWS", block), \
+                mock.patch.object(codes, "_KEY_BASE", key_base):
             hit = find_min_undetectable(table, table.n)
-        assert (hit[0], hit[1].sites) == (w, sites), block
+        assert (hit[0], hit[1].sites) == (w, sites), (block, key_base)
 
 
 @settings(max_examples=60, deadline=None)
@@ -144,16 +157,29 @@ def test_non_commuting_tables_match_the_exhaustive_route_at_any_block_size(table
     assert_scan_matches_the_exhaustive_route(table)
 
 
-@pytest.mark.parametrize("name", sorted(path.stem for path in catalog_dir().glob("*.stabtab")))
-def test_catalog_families_give_one_witness_at_every_block_size(name):
+CATALOG = sorted(path.stem for path in catalog_dir().glob("*.stabtab"))
+
+
+def family(name):
     parent = load_table(name)
-    for table in [parent] + [member for _, member in derive_family(parent, verify=False)]:
+    return [parent] + [member for _, member in derive_family(parent, verify=False)]
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_catalog_families_give_one_witness_at_every_block_size(name):
+    for table in family(name):
         found = set()
         for block in (1, 97, codes._BLOCK_ROWS):
             with mock.patch.object(codes, "_BLOCK_ROWS", block):
                 hit = find_min_undetectable(table, table.n)
             found.add((hit[0], str(hit[1])))
         assert len(found) == 1, found
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_catalog_families_match_the_exhaustive_route_under_colliding_keys(name):
+    for table in family(name):
+        assert_scan_matches_the_exhaustive_route(table)
 
 
 def cauchy_ame(t, p):
@@ -181,6 +207,18 @@ def test_ame_6_7_scan_stays_under_32_mib():
     hit, peak = peak_scan(cauchy_ame(3, 7), 4)
     assert hit[0] == 4
     assert peak < 32 * 2**20, peak
+
+
+def test_qubit_graph_state_scan_to_weight_5_stays_under_1_mib():
+    # a 16-qubit graph state of distance 5: every class is joined, at most
+    # 4 * _BLOCK_ROWS errors a chunk; the weight-5 class holds 4,368 x 243
+    rng = random.Random(8)
+    adjacency = [[0] * 16 for _ in range(16)]
+    for i, j in itertools.combinations(range(16), 2):
+        adjacency[i][j] = adjacency[j][i] = rng.randrange(2)
+    hit, peak = peak_scan(graph_state(GF(2), adjacency), 5)
+    assert hit[0] == 5
+    assert peak < 2**20, peak
 
 
 @pytest.mark.parametrize("t, p, witness", [

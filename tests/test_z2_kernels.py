@@ -1,5 +1,6 @@
-"""The characteristic-2 kernels: syndromes packed into uint64 words, scanned
-in chunks of site subsets, and the bitset rank over Z_2.
+"""The characteristic-2 kernels: syndromes packed into uint64 words, joined
+by head and tail keys in chunks of site subsets, and the bitset rank over
+Z_2.
 
 Pins the first witness of every p = 2 catalog table, checks tables with
 more than 64 generators (several words per syndrome) against the
@@ -8,6 +9,7 @@ elimination: ``linalg.rank`` against the pivots of ``linalg.rref``, and
 both against the row-by-row ``oracles.rref_rows``.
 """
 
+import itertools
 import random
 from unittest import mock
 
@@ -89,10 +91,12 @@ def test_multiword_syndromes_match_the_exhaustive_route(q, n):
     assert len(table.gens) > 64
     want = first_undetectable(table, 2)
     assert want is not None and want[0] == 2
-    for block in (1, 97, codes._BLOCK_ROWS):
-        with mock.patch.object(codes, "_BLOCK_ROWS", block):
+    # two-word keys, and under the colliding bases two-word exact checks
+    for block, key_base in itertools.product((1, 97, codes._BLOCK_ROWS), (codes._KEY_BASE, 0, 1)):
+        with mock.patch.object(codes, "_BLOCK_ROWS", block), \
+                mock.patch.object(codes, "_KEY_BASE", key_base):
             hit = find_min_undetectable(table, 2)
-        assert (hit[0], hit[1].sites) == want, block
+        assert (hit[0], hit[1].sites) == want, (block, key_base)
 
 
 @st.composite
