@@ -15,6 +15,11 @@ test, the weights its scans have cleared and the witness they found, so
 Knill-Laflamme checks and the dense distance on one set share one scan:
 each call resumes at the first weight not yet scanned.  The record is
 sound because the set is frozen and its words' amplitudes read-only.
+A scan takes all Z parts of a site subset from one character transform,
+one product per group of g sites with the g-th Kronecker power of the
+q x q character table, q^g <= 64 (up to 6 qubit sites a product); the
+powers, and the X-part tables of a weight class that fits one block,
+are memoised per field.
 
 Inside the eigenspace projector, p = 2 generators with mixed X/Z sites
 are lifted by i**tr(a*b) per site (the Hermitian convention) so that
@@ -26,6 +31,7 @@ and is invisible to every other operation.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 
 import numpy as np
@@ -39,6 +45,12 @@ DENSE_BUDGET = 4096
 KL_TOL = 1e-9
 ORTHO_TOL = 1e-10
 _BLOCK_ENTRIES = 2**16
+# one grouped character product covers sites up to q**g <= _GROUP_ENTRIES,
+# and has at most _PRODUCT_MULADDS multiply-adds where it can: OpenBLAS runs
+# complex products above about 64k multiply-adds on more threads, which
+# made them up to 40 times slower on a 2-core VM
+_GROUP_ENTRIES = 64
+_PRODUCT_MULADDS = 2**16
 
 
 @dataclasses.dataclass(frozen=True)
@@ -94,20 +106,30 @@ def _project_plus_one(perm: np.ndarray, factor: np.ndarray, p: int,
     return acc / p
 
 
-def _lifted_action(g: PauliString) -> tuple[np.ndarray, np.ndarray]:
-    """The dense action of g as (perm, factor), (g v)[perm[j]] = factor[j] * v[j],
-    lifted by i**tr(a*b) per site when p = 2 so that g has order p."""
-    f = g.field
-    # one site at a time, site 0 ending up the most significant digit
-    perm = np.zeros(1, dtype=np.int64)
-    phase = np.zeros(1, dtype=np.int64)
-    for a, b in g.sites:
-        perm = np.add.outer(perm * f.q, f.add_table[a]).ravel()
-        phase = np.add.outer(phase, f.trmul_table[b]).ravel()
-    factor = np.exp(2j * np.pi / f.p) ** (phase % f.p)
-    if f.p == 2:
-        factor = factor * (1j) ** sum(int(f.trmul_table[a, b]) for a, b in g.sites)
+def _lifted_actions(field: Field, n: int, gens) -> tuple[np.ndarray, np.ndarray]:
+    """The dense actions of the n-site strings ``gens`` as rows of one
+    (N, q^n) pair (perm, factor), (g_i v)[perm[i, j]] = factor[i, j] * v[j],
+    lifted by i**tr(a*b) per site when p = 2 so that each g_i has order p.
+    Built one site at a time for all N strings at once, site 0 ending up
+    the most significant digit; a phase is looked up in omega**arange(p)."""
+    q, p, N = field.q, field.p, len(gens)
+    pairs = np.array([g.sites for g in gens], dtype=np.int64).reshape(N, n, 2)
+    perm = np.zeros((N, 1), dtype=np.int64)
+    phase = np.zeros((N, 1), dtype=np.int64)
+    for a, b in pairs.transpose(1, 2, 0):
+        perm = (perm[:, :, None] * q + field.add_table[a][:, None, :]).reshape(N, -1)
+        phase = (phase[:, :, None] + field.trmul_table[b][:, None, :]).reshape(N, -1)
+    factor = (np.exp(2j * np.pi / p) ** np.arange(p))[phase % p]
+    if p == 2:
+        lift = field.trmul_table[pairs[:, :, 0], pairs[:, :, 1]].sum(axis=1)
+        factor = factor * np.array([(1j) ** int(e) for e in lift])[:, None]
     return perm, factor
+
+
+def _lifted_action(g: PauliString) -> tuple[np.ndarray, np.ndarray]:
+    """The dense action (perm, factor) of one string, as ``_lifted_actions``."""
+    perm, factor = _lifted_actions(g.field, g.n, [g])
+    return perm[0], factor[0]
 
 
 def expand_stabilizer(table: GeneratorTable) -> CodewordSet:
@@ -120,20 +142,22 @@ def expand_stabilizer(table: GeneratorTable) -> CodewordSet:
     Basis states |s> are projected in index order, skipping any inside an
     accepted word's support: P|s> fills the coset of s modulo the X parts,
     P|s'> is a phase times P|s> on it (P g = P), and cosets are disjoint.
+    Also skipped are the seeds that a generator with no X part (identity
+    perm) maps to a phase other than 1: P|s> = 0 there.
     """
     require_stabilizer(table)
     dim = _check_budget(table.field, table.n)
     K = table.field.q**table.k
     p = table.field.p
-    actions = [_lifted_action(g) for g in table.gens]
+    perms, factors = _lifted_actions(table.field, table.n, table.gens)
     basis: list[np.ndarray] = []
-    covered = np.zeros(dim, dtype=bool)
+    covered = (factors[(perms == np.arange(dim)).all(axis=1)] != 1).any(axis=0)
     for seed in range(dim):
         if covered[seed]:
             continue
         v = np.zeros(dim, dtype=np.complex128)
         v[seed] = 1.0
-        for perm, factor in actions:
+        for perm, factor in zip(perms, factors):
             v = _project_plus_one(perm, factor, p, v)
         norm = np.linalg.norm(v)
         if norm > 1e-8:
@@ -176,8 +200,8 @@ def _digits(index, q: int, w: int) -> np.ndarray:
 def _x_block(field: Field, w: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     """Tables of the X parts lo..hi-1 on w sites: ``lp[x, a]``, the index of
     a + x, and ``valid[x, z]``, true when X_x Z_z acts on all w sites.  Built
-    one site at a time from ``add_table``, as ``_lifted_action`` builds its
-    permutation."""
+    one site at a time from ``add_table``, as ``_lifted_actions`` builds its
+    permutations."""
     q = field.q
     lp = np.zeros((hi - lo, 1), dtype=np.int64)
     valid = np.ones((hi - lo, 1), dtype=bool)
@@ -186,6 +210,44 @@ def _x_block(field: Field, w: int, lo: int, hi: int) -> tuple[np.ndarray, np.nda
         valid = (valid[:, :, None] & ((x != 0)[:, None, None] | (np.arange(q) != 0))
                  ).reshape(hi - lo, -1)
     return lp, valid
+
+
+@functools.lru_cache(maxsize=None)
+def _x_class(field: Field, w: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_x_block`` of all q^w X parts on w sites, memoised per (field, w)
+    for the scans whose class fits one block; read-only, as it is shared."""
+    lp, valid = _x_block(field, w, 0, field.q**w)
+    lp.flags.writeable = valid.flags.writeable = False
+    return lp, valid
+
+
+@functools.lru_cache(maxsize=None)
+def _characters(field: Field, g: int) -> np.ndarray:
+    """The g-th Kronecker power of char[z, a] = omega**tr(z a): entry
+    [z, a] is omega**tr(z.a) for digit tuples on g sites, site 0 most
+    significant.  Read-only, as it is shared."""
+    power = functools.reduce(np.kron, [np.exp(2j * np.pi / field.p) ** field.trmul_table] * g)
+    power.flags.writeable = False
+    return power
+
+
+def _z_parts(field: Field, g: np.ndarray, w: int) -> np.ndarray:
+    """g[x, a, c] -> sum_a omega**tr(z.a) g[x, a, c] as [x, z, c], for a and
+    z digit tuples on w sites, by one ``_characters`` product per group of
+    sites.  A group starting at site s takes the most sites g with
+    q^g <= _GROUP_ENTRIES whose 2-D products, q^(w - s + g) times the
+    trailing size multiply-adds, stay within _PRODUCT_MULADDS, and at
+    least one site."""
+    q, rows, cols = field.q, g.shape[0], g.shape[2]
+    s = 0
+    while s < w:
+        size = 1
+        while (size < w - s and q ** (size + 1) <= _GROUP_ENTRIES
+               and q ** (w - s + size + 1) * cols <= _PRODUCT_MULADDS):
+            size += 1
+        g = np.matmul(_characters(field, size), g.reshape(rows * q**s, q**size, -1))
+        s += size
+    return g.reshape(rows, q**w, cols)
 
 
 def _first_error(c: CodewordSet, w_max: int, scalar: bool) -> PauliString | None:
@@ -209,14 +271,19 @@ def _first_error(c: CodewordSet, w_max: int, scalar: bool) -> PauliString | None
     error with X part x and Z part z on A has G = sum_a omega**tr(z.a)
     D_x[a], where D_x[a, m, m'] = sum_r conj(W[a + x, m, r]) W[a, m', r].
     So a block of X parts costs one gather of W and one batched product,
-    and all their Z parts one q x q character transform per site.  The
-    subset's flagged error first in that order is the witness.
+    and all their Z parts one character transform per group of sites
+    (``_z_parts``): a product with a Kronecker power of the q x q
+    character table, up to 6 qubit sites at once.  The subset's flagged
+    error first in that order is the witness.
 
     Memory: a block of X parts is sized so that no array exceeds
     max(_BLOCK_ENTRIES, K q^n + K^2) entries, the larger being a per-error
     Gram computation's working set; a block holds at least one X part,
     whose q^w K^2 Gram stack is within K q^n at every weight the scan
-    reaches when K <= q^(n-1), by the quantum Singleton bound.
+    reaches when K <= q^(n-1), by the quantum Singleton bound.  Kept
+    between calls: the character powers, each at most _GROUP_ENTRIES^2
+    entries and under 4/3 of that per field, and the X-part tables of
+    each weight whose class fits one block, each within that block.
     """
     cleared, witness = c._scans.get(scalar, (0, None))
     if witness is not None and witness.weight() <= w_max:
@@ -226,7 +293,6 @@ def _first_error(c: CodewordSet, w_max: int, scalar: bool) -> PauliString | None
     f, n, K = c.field, c.n, c.K
     q = f.q
     words = np.array([w.amplitudes for w in c.words]).reshape((K,) + (q,) * n)
-    char = np.exp(2j * np.pi / f.p) ** f.trmul_table  # char[z, a] = omega**tr(z a)
     cap = max(_BLOCK_ENTRIES, K * q**n + K * K)
     for w in range(cleared + 1, w_max + 1):
         if w > n:
@@ -236,30 +302,25 @@ def _first_error(c: CodewordSet, w_max: int, scalar: bool) -> PauliString | None
             continue
         step = max(1, cap // max(K * q**n, q**w * K * K))
         blocks = [(lo, min(lo + step, q**w)) for lo in range(0, q**w, step)]
-        tables = _x_block(f, w, *blocks[0]) if len(blocks) == 1 else None
+        tables = _x_class(f, w) if len(blocks) == 1 else None
         for sites in itertools.combinations(range(n), w):
-            a_axes = [s + 1 for s in sites]
-            r_axes = [s + 1 for s in range(n) if s not in sites]
-            wc = np.transpose(words, a_axes + [0] + r_axes).reshape(q**w, K, -1).conj()
-            wt = np.transpose(words, a_axes + r_axes + [0]).reshape(q**w, -1, K)
+            axes = [s + 1 for s in sites] + [s + 1 for s in range(n) if s not in sites] + [0]
+            wt = np.transpose(words, axes).reshape(q**w, -1, K)
+            wc = wt.transpose(0, 2, 1).conj()
             best = None
             for lo, hi in blocks:
                 lp, valid = tables or _x_block(f, w, lo, hi)
-                # g[x, a, m, m'] = D_x[a, m, m'], then site by site a -> z
-                # into g[x, z, m, m'] by one small product per X part and
-                # leading digits: OpenBLAS runs complex products above about
-                # 64k multiply-adds on more threads, which made them up to
-                # 40 times slower on a 2-core VM
+                # g[a, x, m, m'] = D_x[a, m, m'], then a -> z into
+                # g[x, z, m m'] by the grouped character products
                 g = np.matmul(wc[lp.T].reshape(q**w, -1, q ** (n - w)), wt)
-                g = g.reshape(q**w, hi - lo, K * K).transpose(1, 0, 2)
-                for s in range(w):
-                    g = np.matmul(char, g.reshape((hi - lo) * q**s, q, -1))
-                g = g.reshape(hi - lo, q**w, K, K)
+                g = _z_parts(f, g.reshape(q**w, hi - lo, K * K).transpose(1, 0, 2), w)
                 if scalar:
-                    dev = g - np.einsum("xzmm->xz", g)[:, :, None, None] / K * np.eye(K)
-                    hit = np.abs(dev).max(axis=(2, 3)) > KL_TOL
+                    # exactly the entries of G - (tr G / K) I
+                    diag = g[:, :, :: K + 1]
+                    diag -= diag.sum(axis=2, keepdims=True) / K
+                    hit = np.abs(g).max(axis=2) > KL_TOL
                 else:
-                    hit = np.abs(g[:, :, 0, 0]) > 0.5
+                    hit = np.abs(g[:, :, 0]) > 0.5
                 xs, zs = np.nonzero(hit & valid)
                 if len(xs):
                     pairs = _digits(lo + xs, q, w) * q + _digits(zs, q, w) - 1
@@ -315,10 +376,12 @@ def _bipartition(state: StateVector, sites) -> np.ndarray:
 def reduced_entropy(state: StateVector, sites) -> float:
     """Von Neumann entropy (bits) of the reduced state on ``sites``.
 
-    Eigenvalues below 1e-12 count as zero.  A pure reduced state gives
-    +0.0: 0.0 - x is -x for x != 0, where negating 0.0 would give -0.0.
+    Eigenvalues below 1e-12 count as zero, and each is clamped to at most
+    1, so that no term -p log2 p is negative: a pure cut, whose one
+    eigenvalue may round to just above 1, gives +0.0 (0.0 - x is -x for
+    x != 0, where negating 0.0 would give -0.0).
     """
     sing = np.linalg.svd(_bipartition(state, sites), compute_uv=False)
-    probs = sing**2
+    probs = np.minimum(sing**2, 1.0)
     probs = probs[probs > 1e-12]
     return 0.0 - float((probs * np.log2(probs)).sum())

@@ -115,6 +115,18 @@ def test_oracle_entropy_of_a_product_state_prints_positive_zero(tmp_path, capsys
                    "entropy |A|=1: min 0.000000  max 0.000000 bits\n")
 
 
+def test_oracle_entropy_of_a_real_product_state_prints_positive_zero(tmp_path, capsys):
+    # (-0.456, -0.091) x (1, 1.905), normalized: the one eigenvalue of each
+    # cut rounds to just above 1, which printed -0.000000 before the clamp
+    state = tmp_path / "product.txt"
+    state.write_text("-0.45592639580834915 0\n-0.8685152857846062 0\n"
+                     "-0.09038190743861695 0\n-0.17217267719196777 0\n")
+    code, out, _ = run(capsys, "oracle", "--state", str(state), "--q", "2")
+    assert code == 0
+    assert out == ("state: n=2, q=2 (normalized input)\n"
+                   "entropy |A|=1: min 0.000000  max 0.000000 bits\n")
+
+
 def test_oracle_state_past_the_dense_budget_exits_3_before_any_output(tmp_path, capsys):
     state = tmp_path / "state.txt"
     state.write_text("1 0\n" * 2**13)

@@ -6,7 +6,9 @@ matrix at a time, whatever the block size; and it holds no more than a
 few blocks in memory on a q^n = 4096 state scanned to weight n.  Calls
 on one CodewordSet resume its recorded scan: they answer as on a fresh
 set, and after the distance scan the Knill-Laflamme checks at d and
-d + 1 on a catalog code scan no subset.
+d + 1 on a catalog code scan no subset.  The grouped character products
+equal the per-site transform, and for each q of SIZES a state whose
+witness lies one weight past the largest group is scanned to it.
 
 Inputs: the codewords of random stabilizer tables (scrambled graph states
 over Z_2, Z_3, Z_5 and GF(4), cut to k = 0-2) and random orthonormal
@@ -49,13 +51,14 @@ def reference_first_error(c, w_max, scalar):
     otherwise |G_00| > 1/2), with E applied site by site from dense_pauli."""
     f, n, K = c.field, c.n, c.K
     words = np.array([w.amplitudes for w in c.words]).reshape((K,) + (f.q,) * n)
+    site_ops = {(a, b): dense_pauli(f, [(a, b)]) for a in range(f.q) for b in range(f.q)}
     for w in range(1, w_max + 1):
         for err in enumerate_errors(f, n, w):  # raises past weight n
             out = words
             for s, pair in enumerate(err.sites):
                 if pair != (0, 0):
                     out = np.moveaxis(
-                        np.tensordot(dense_pauli(f, [pair]), out, axes=([1], [s + 1])), 0, s + 1)
+                        np.tensordot(site_ops[pair], out, axes=([1], [s + 1])), 0, s + 1)
             g = words.reshape(K, -1).conj() @ out.reshape(K, -1).T
             if scalar:
                 flagged = np.abs(g - np.trace(g) / K * np.eye(K)).max() > KL_TOL
@@ -167,13 +170,70 @@ def test_calls_on_one_set_answer_as_on_a_fresh_set(c, data):
         assert outcome(fn, c, d) == outcome(fn, fresh(c), d), (fn.__name__, d)
 
 
+def group_size(q):
+    """Sites in the largest grouped character product for q."""
+    return max(g for g in range(1, 7) if q**g <= oracle._GROUP_ENTRIES)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_grouped_character_products_match_the_per_site_transform(q, monkeypatch):
+    field = GF(q)
+    char = np.exp(2j * np.pi / field.p) ** field.trmul_table
+    rng = np.random.default_rng(q)
+    matmul, products = np.matmul, []
+    monkeypatch.setattr(np, "matmul", lambda a, b: products.append(
+        (a.shape[-2], a.shape[-1], b.shape[-1])) or matmul(a, b))
+    for w in range(1, group_size(q) + 3):
+        for cols in (1, 4):
+            g = rng.normal(size=(3, q**w, cols)) + 1j * rng.normal(size=(3, q**w, cols))
+            want = g
+            for s in range(w):
+                want = matmul(char, want.reshape(3 * q**s, q, -1))
+            products.clear()
+            got = oracle._z_parts(field, g, w)
+            # each 2-D product stays below the OpenBLAS threading size, as a
+            # one-site product did; where that allows, the groups are whole
+            assert all(r * k * c <= oracle._PRODUCT_MULADDS or k == q for r, k, c in products)
+            if q ** (w + group_size(q)) * cols <= oracle._PRODUCT_MULADDS:
+                assert len(products) == -(-w // group_size(q))
+            assert got.shape == (3, q**w, cols)
+            # the two sum q^w terms of size about 1 in different orders
+            np.testing.assert_allclose(got, want.reshape(3, q**w, cols), rtol=0, atol=1e-12 * q**w)
+
+
+def past_the_group(q):
+    """A state on n = g + 1 sites, g = group_size(q), whose first error with
+    |<E>| > 1/2 is the first of weight n, z1 on every site: a random state
+    kept on the +1 eigenspace of that diagonal error."""
+    field, n = GF(q), group_size(q) + 1
+    rng = np.random.default_rng(q)
+    v = rng.normal(size=q**n) + 1j * rng.normal(size=q**n)
+    phase = field.trmul_table[1][oracle._digits(np.arange(q**n), q, n)].sum(axis=1) % field.p
+    v[phase != 0] = 0
+    return CodewordSet(field, n, (StateVector(field, n, v / np.linalg.norm(v)),))
+
+
+@pytest.mark.parametrize("q", [q for q, _ in SIZES])
+def test_scan_past_the_character_group_matches_the_per_error_walk(q):
+    # K = 1, so the Knill-Laflamme scan has nothing to test; the distance
+    # scan reaches weight g + 1, two grouped products, under every block size
+    c = past_the_group(q)
+    want = reference_first_error(c, c.n, False)
+    assert want is not None and want.weight() == group_size(q) + 1
+    for block in BLOCKS:
+        with mock.patch.object(oracle, "_BLOCK_ENTRIES", block):
+            assert oracle._first_error(fresh(c), c.n, False) == want, block
+
+
 @pytest.mark.parametrize("entry", DENSE_CODES, ids=lambda e: e.id)
 def test_knill_laflamme_after_the_distance_scans_no_subset(entry, monkeypatch):
     c = expand_stabilizer(load_table(entry))
     want = [knill_laflamme_check(fresh(c), d) for d in (entry.d, entry.d + 1)]
+    # the probe is the Z-part transform, one call per block of each subset
+    # scanned (the X-part tables of a one-block class are memoised)
     calls = []
-    x_block = oracle._x_block
-    monkeypatch.setattr(oracle, "_x_block", lambda *args: calls.append(args) or x_block(*args))
+    z_parts = oracle._z_parts
+    monkeypatch.setattr(oracle, "_z_parts", lambda *args: calls.append(args) or z_parts(*args))
     assert dense_distance(c, entry.d + 1) == entry.d
     assert calls  # the distance scan itself is counted
     calls.clear()

@@ -153,6 +153,25 @@ def test_expand_projects_one_seed_per_coset(monkeypatch):
     assert starts == [0, 2**9]
 
 
+def test_expand_skips_seeds_that_a_z_only_generator_zeroes(monkeypatch):
+    # code_3_1_2_3's g1 = z1 z1 z2 has no X part and phase 1 on one basis
+    # state in three, so 3 of its 9 seeds are projected, 2 calls each
+    calls = []
+    project = oracle._project_plus_one
+    monkeypatch.setattr(oracle, "_project_plus_one",
+                        lambda *args: calls.append(args) or project(*args))
+    t = catalog.load_table("code_3_1_2_3")
+    cw = expand_stabilizer(t)
+    assert cw.K == 3
+    assert len(calls) == 6
+    for g in t.gens:
+        perm, factor = oracle._lifted_action(g)
+        for w in cw.words:
+            image = np.zeros_like(w.amplitudes)
+            image[perm] = factor * w.amplitudes
+            assert np.allclose(image, w.amplitudes, atol=1e-10)
+
+
 # -- projection codewords --------------------------------------------------------
 
 
@@ -239,6 +258,20 @@ def test_pure_reduced_state_has_positive_zero_entropy():
     for sites in ([0], [1], [0, 1]):
         got = reduced_entropy(psi, sites)
         assert got == 0.0 and math.copysign(1.0, got) == 1.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(-1, 1), min_size=8, max_size=8).filter(
+    lambda v: np.linalg.norm(v[:4]) > 1e-3 and np.linalg.norm(v[4:]) > 1e-3))
+def test_product_states_have_nonnegative_entropy_on_every_cut(v):
+    # a pure cut's one eigenvalue can round to just above 1, where
+    # -p log2 p would be about -1e-15 without the clamp
+    a = np.array(v[0:2]) + 1j * np.array(v[2:4])
+    b = np.array(v[4:6]) + 1j * np.array(v[6:8])
+    psi = StateVector(GF(2), 2, np.kron(a / np.linalg.norm(a), b / np.linalg.norm(b)))
+    for sites in ([0], [1], [0, 1]):
+        got = reduced_entropy(psi, sites)
+        assert 0.0 <= got < 1e-9 and math.copysign(1.0, got) == 1.0, (sites, got)
 
 
 def test_bipartition_rejects_sites_out_of_range():
