@@ -59,6 +59,7 @@ def catalog_dir() -> Path:
 
 def _parse_index(text: str, filename: str) -> list[CatalogEntry]:
     entries: list[CatalogEntry] = []
+    seen: set[str] = set()
     current: dict | None = None
     current_id = None
 
@@ -66,8 +67,9 @@ def _parse_index(text: str, filename: str) -> list[CatalogEntry]:
         nonlocal current, current_id
         if current is None:
             return
-        if any(e.id == current_id for e in entries):
+        if current_id in seen:
             raise ParseError(f"entry {current_id}: duplicate entry id", filename)
+        seen.add(current_id)
         try:
             params = [int(x) for x in current.pop("params", "").split()]
         except ValueError:

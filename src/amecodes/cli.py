@@ -34,17 +34,16 @@ from .codes import (DEFAULT_DISTANCE_BUDGET, CodeParams, check_commutation,
                     check_independence, classify_singleton, compute_distance)
 from .errors import AmecodesError, DomainError, ParseError, ResourceBudgetError
 from .fields import GF
-from .oracle import (CodewordSet, dense_distance, expand_stabilizer,
-                     knill_laflamme_check, reduced_entropy)
 from .pauli import StateVector
-from .reduction import derive_family, to_reduction_friendly
-from .repeater import (ChannelParams, LinkPlan, children_params, cost_report, figure_rows,
-                       fixed_link_count, loss_probability, optimal_k_table, p_success, rate)
+
+# reduction, oracle and repeater are imported by the subcommands that call
+# them, so that a start compiles only the modules its subcommand runs
 
 PASS, FAIL, USAGE_ERROR, BUDGET_ERROR = 0, 1, 2, 3
 
 
-def _channel(args) -> ChannelParams:
+def _channel(args):
+    from .repeater import ChannelParams
     return ChannelParams(l_att=args.latt, eta_c=args.etac)
 
 
@@ -118,6 +117,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_reduce(args) -> int:
+    from .reduction import to_reduction_friendly
     table = stabtab.parse_file(args.file)
     form = to_reduction_friendly(table)
     text = stabtab.emit(form.table)
@@ -130,6 +130,7 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_children(args) -> int:
+    from .reduction import derive_family
     table = stabtab.parse_file(args.file)
     family = derive_family(table, verify=not args.no_verify, budget=args.budget)
     outdir = Path(args.outdir)
@@ -152,6 +153,8 @@ def _require_entropy_sizes(sizes, n: int) -> None:
 
 
 def cmd_oracle(args) -> int:
+    from .oracle import (CodewordSet, dense_distance, expand_stabilizer,
+                         knill_laflamme_check, reduced_entropy)
     if args.file and args.state:
         raise DomainError("pass a stabtab file or --state with --q, not both")
     if args.file and args.q is not None:
@@ -218,6 +221,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_rate(args) -> int:
+    from .repeater import LinkPlan, cost_report, fixed_link_count, loss_probability, p_success, rate
     code = _code_from_flags(args)
     ch = _channel(args)
     if args.optimize:
@@ -235,6 +239,7 @@ def cmd_rate(args) -> int:
 
 
 def cmd_cost(args) -> int:
+    from .repeater import cost_report
     code = _code_from_flags(args)
     report = cost_report(code, args.ltot, _channel(args))
     print(f"code {code.label()} over {args.ltot:g} km")
@@ -247,6 +252,7 @@ def cmd_cost(args) -> int:
 
 
 def cmd_table(args) -> int:
+    from .repeater import optimal_k_table
     if args.nmax < 4 or args.qmax < 2:
         raise DomainError(
             f"the optimal-k grid covers n >= 4 and q >= 2; got --nmax {args.nmax}, "
@@ -271,6 +277,7 @@ def cmd_table(args) -> int:
 
 
 def cmd_figure(args) -> int:
+    from .repeater import children_params, figure_rows
     codes = []
     if args.ame:
         n, q = _int_list("--ame", "N,Q", args.ame)
