@@ -6,7 +6,7 @@ cross-check it: stabilizer-state expansion, projection codewords,
 Knill-Laflamme verification, reduced-state entropies.
 
 Conventions: omega = exp(2*pi*i/p).  The Knill-Laflamme and distance
-scans batch the errors of one site subset, so a code-space matrix
+scans take a chunk of site subsets at a time, so a code-space matrix
 element may differ from a one-error-at-a-time sum in its last bits;
 what is stable is the witness, the first flagged error in the error
 order stated in ``pauli``, under fixed tolerances (KL_TOL for the scalar
@@ -15,11 +15,15 @@ test, the weights its scans have cleared and the witness they found, so
 Knill-Laflamme checks and the dense distance on one set share one scan:
 each call resumes at the first weight not yet scanned.  The record is
 sound because the set is frozen and its words' amplitudes read-only.
-A scan takes all Z parts of a site subset from one character transform,
-one product per group of g sites with the g-th Kronecker power of the
-q x q character table, q^g <= 64 (up to 6 qubit sites a product); the
-powers, and the X-part tables of a weight class that fits one block,
-are memoised per field.
+A scan takes the code-space matrices of all X parts on each subset of a
+chunk from one Gram product of its codewords (of a block of X parts,
+where that Gram would not fit), and all Z parts from one character
+transform, one product per group of g sites with the g-th Kronecker
+power of the q x q character table, q^g <= 64 (up to 6 qubit sites a
+product).  A reduced-state entropy comes from the eigenvalues of the
+Gram of the bipartition's smaller side.  The Gram and character
+products keep to _PRODUCT_MULADDS multiply-adds each where their shapes
+allow.
 
 Inside the eigenspace projector, p = 2 generators with mixed X/Z sites
 are lifted by i**tr(a*b) per site (the Hermitian convention) so that
@@ -33,6 +37,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
+import math
 
 import numpy as np
 
@@ -126,12 +131,6 @@ def _lifted_actions(field: Field, n: int, gens) -> tuple[np.ndarray, np.ndarray]
     return perm, factor
 
 
-def _lifted_action(g: PauliString) -> tuple[np.ndarray, np.ndarray]:
-    """The dense action (perm, factor) of one string, as ``_lifted_actions``."""
-    perm, factor = _lifted_actions(g.field, g.n, [g])
-    return perm[0], factor[0]
-
-
 def expand_stabilizer(table: GeneratorTable) -> CodewordSet:
     """Orthonormal basis of the joint +1 eigenspace of all generators.
 
@@ -197,6 +196,26 @@ def _digits(index, q: int, w: int) -> np.ndarray:
     return np.asarray(index)[:, None] // q ** np.arange(w - 1, -1, -1) % q
 
 
+@functools.lru_cache(maxsize=None)
+def _site_tables(q: int, n: int, w: int) -> tuple[np.ndarray, ...]:
+    """The w-subsets of n sites, one a row in lexicographic order, and the
+    flat amplitude offsets that gather a subset's codewords: ``heads[s, a]``,
+    the index of digits a on subset s and 0 elsewhere, and the tail offsets
+    ``places[s] @ tails``, the place values q**(n-1-t) of the other sites t
+    times the digit table of the q^(n-w) tails.  Those two are floats,
+    exact below 2^53, so that the tail offsets of a chunk, built per chunk,
+    cost one BLAS product.  Read-only, as they are shared."""
+    subsets = np.array(list(itertools.combinations(range(n), w)), dtype=np.int64).reshape(-1, w)
+    others = np.array([[t for t in range(n) if t not in s] for s in subsets.tolist()],
+                      dtype=np.int64).reshape(len(subsets), n - w)
+    tables = (subsets, q ** (n - 1 - subsets) @ _digits(np.arange(q**w), q, w).T,
+              (q ** (n - 1 - others)).astype(float),
+              np.ascontiguousarray(_digits(np.arange(q ** (n - w)), q, n - w).T, dtype=float))
+    for t in tables:
+        t.flags.writeable = False
+    return tables
+
+
 def _x_block(field: Field, w: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     """Tables of the X parts lo..hi-1 on w sites: ``lp[x, a]``, the index of
     a + x, and ``valid[x, z]``, true when X_x Z_z acts on all w sites.  Built
@@ -215,7 +234,7 @@ def _x_block(field: Field, w: int, lo: int, hi: int) -> tuple[np.ndarray, np.nda
 @functools.lru_cache(maxsize=None)
 def _x_class(field: Field, w: int) -> tuple[np.ndarray, np.ndarray]:
     """``_x_block`` of all q^w X parts on w sites, memoised per (field, w)
-    for the scans whose class fits one block; read-only, as it is shared."""
+    for the chunks of whole subsets; read-only, as it is shared."""
     lp, valid = _x_block(field, w, 0, field.q**w)
     lp.flags.writeable = valid.flags.writeable = False
     return lp, valid
@@ -250,6 +269,44 @@ def _z_parts(field: Field, g: np.ndarray, w: int) -> np.ndarray:
     return g.reshape(rows, q**w, cols)
 
 
+def _gram(a: np.ndarray) -> np.ndarray:
+    """conj(a) @ a.T over the last two axes, by blocks of the result's rows
+    so that each 2-D product has at most _PRODUCT_MULADDS multiply-adds (a
+    block holds at least one row).  Row blocks keep both operands in BLAS
+    layout and write disjoint parts of the result."""
+    rows, cols = a.shape[-2:]
+    step = max(1, _PRODUCT_MULADDS // (rows * cols))
+    left, right = a.conj(), np.swapaxes(a, -1, -2)
+    if step >= rows:
+        return np.matmul(left, right)
+    g = np.empty(a.shape[:-2] + (rows, rows), dtype=a.dtype)
+    for lo in range(0, rows, step):
+        np.matmul(left[..., lo : lo + step, :], right, out=g[..., lo : lo + step, :])
+    return g
+
+
+def _chunks(count: int, xs: int, words: int, pair: int, cap: int):
+    """The chunks of a weight class in scan order, (s0, s1, lo, hi): the
+    subsets s0..s1-1 of ``count`` with X parts lo..hi-1 of ``xs``, where a
+    subset's codewords are ``words`` entries and an error's matrix
+    ``pair``.  Where a subset's Gram, xs^2 pair entries, fits ``cap``, a
+    chunk is 1, 2, 4, ... whole subsets whose codewords, or Grams, take at
+    most a quarter of ``cap``: a chunk holds its codewords, their conjugates
+    and their gather index at once, and whole-cap chunks ran no faster on
+    10-qubit scans but raised peak RSS by 0.3-0.6 MB.  Otherwise a chunk
+    is one subset and a block of X parts."""
+    if xs * xs * pair <= cap:
+        most, s, size = max(1, cap // (4 * max(words, xs * xs * pair))), 0, 1
+        while s < count:
+            yield s, min(s + size, count), 0, xs
+            s, size = s + size, min(2 * size, most)
+    else:
+        step = max(1, cap // max(words, xs * pair))
+        for s in range(count):
+            for lo in range(0, xs, step):
+                yield s, s + 1, lo, min(lo + step, xs)
+
+
 def _first_error(c: CodewordSet, w_max: int, scalar: bool) -> PauliString | None:
     """The first error of weight 1..w_max, in ``pauli``'s error order, whose
     code-space matrix G = <w_m| E |w_m'> is flagged, or None.  With
@@ -266,24 +323,35 @@ def _first_error(c: CodewordSet, w_max: int, scalar: bool) -> PauliString | None
     depends on cannot change, as CodewordSet is frozen and a StateVector's
     amplitudes are a read-only copy.
 
-    The errors on one site subset A are one batch.  Write the codewords
-    as W[a, m, r], a the digits on A and r those on the other sites.  An
-    error with X part x and Z part z on A has G = sum_a omega**tr(z.a)
-    D_x[a], where D_x[a, m, m'] = sum_r conj(W[a + x, m, r]) W[a, m', r].
-    So a block of X parts costs one gather of W and one batched product,
-    and all their Z parts one character transform per group of sites
-    (``_z_parts``): a product with a Kronecker power of the q x q
-    character table, up to 6 qubit sites at once.  The subset's flagged
-    error first in that order is the witness.
+    A weight class is one loop over chunks (``_chunks``) of its w-subsets
+    in lexicographic order.  Write the codewords on subset A as W[a, m, r],
+    a the digits on A and r those on the other sites, gathered for a chunk
+    by flat offsets, head plus tail.  An error with X part x and Z part z
+    on A has G = sum_a omega**tr(z.a) D_x[a], where D_x[a, m, m'] =
+    sum_r conj(W[a + x, m, r]) W[a, m', r].  A chunk of whole subsets takes
+    D from one stacked Gram product per subset, G_A = conj(W) @ W.T over
+    the rows (a, m), as D_x[a] = G_A[a + x, a]; a chunk of one subset and
+    a block of X parts, where that Gram would not fit, gathers W[a + x]
+    for the block and takes one batched product.  Either way, all Z parts
+    come from one character transform per group of sites (``_z_parts``):
+    a product with a Kronecker power of the q x q character table, up to 6
+    qubit sites at once.  The witness is the flagged error first in that
+    order on the first subset with one; chunk sizes double from 1, so a
+    witness on the first subset costs one subset.
 
-    Memory: a block of X parts is sized so that no array exceeds
-    max(_BLOCK_ENTRIES, K q^n + K^2) entries, the larger being a per-error
-    Gram computation's working set; a block holds at least one X part,
-    whose q^w K^2 Gram stack is within K q^n at every weight the scan
-    reaches when K <= q^(n-1), by the quantum Singleton bound.  Kept
-    between calls: the character powers, each at most _GROUP_ENTRIES^2
-    entries and under 4/3 of that per field, and the X-part tables of
-    each weight whose class fits one block, each within that block.
+    Memory: a chunk is sized so that no array exceeds
+    max(_BLOCK_ENTRIES, K q^n + K^2) entries, the larger being what one
+    error's matrix needs.  A chunk of whole subsets counts each one's
+    codewords, K q^n, and Gram, q^(2w) K^2, the size of the transform's
+    arrays; a block holds at least one X part, whose q^w K^2 matrices are
+    within K q^n at every weight the scan reaches when K <= q^(n-1), by
+    the quantum Singleton bound.  Memoised for the life of the process:
+    the character powers, each at most _GROUP_ENTRIES^2 entries and under
+    4/3 of that per field; the X-part tables of each (field, w) whose
+    subset Gram fits, q^(2w) indices and flags; and ``_site_tables`` per
+    (q, n, w), C(n, w) (q^w + n) + q^(n-w) (n-w) numbers, 27,050 for
+    weights 1-5 on 10 qubits.  The tail offsets, C(n, w) q^(n-w) per
+    class, are built per chunk.
     """
     cleared, witness = c._scans.get(scalar, (0, None))
     if witness is not None and witness.weight() <= w_max:
@@ -292,7 +360,7 @@ def _first_error(c: CodewordSet, w_max: int, scalar: bool) -> PauliString | None
         return None
     f, n, K = c.field, c.n, c.K
     q = f.q
-    words = np.array([w.amplitudes for w in c.words]).reshape((K,) + (q,) * n)
+    amps = np.array([w.amplitudes for w in c.words]).ravel()  # word m from m q^n
     cap = max(_BLOCK_ENTRIES, K * q**n + K * K)
     for w in range(cleared + 1, w_max + 1):
         if w > n:
@@ -300,36 +368,44 @@ def _first_error(c: CodewordSet, w_max: int, scalar: bool) -> PauliString | None
         if scalar and K == 1:
             c._scans[scalar] = (w, None)
             continue
-        step = max(1, cap // max(K * q**n, q**w * K * K))
-        blocks = [(lo, min(lo + step, q**w)) for lo in range(0, q**w, step)]
-        tables = _x_class(f, w) if len(blocks) == 1 else None
-        for sites in itertools.combinations(range(n), w):
-            axes = [s + 1 for s in sites] + [s + 1 for s in range(n) if s not in sites] + [0]
-            wt = np.transpose(words, axes).reshape(q**w, -1, K)
-            wc = wt.transpose(0, 2, 1).conj()
-            best = None
-            for lo, hi in blocks:
-                lp, valid = tables or _x_block(f, w, lo, hi)
-                # g[a, x, m, m'] = D_x[a, m, m'], then a -> z into
-                # g[x, z, m m'] by the grouped character products
-                g = np.matmul(wc[lp.T].reshape(q**w, -1, q ** (n - w)), wt)
-                g = _z_parts(f, g.reshape(q**w, hi - lo, K * K).transpose(1, 0, 2), w)
-                if scalar:
-                    # exactly the entries of G - (tr G / K) I
-                    diag = g[:, :, :: K + 1]
-                    diag -= diag.sum(axis=2, keepdims=True) / K
-                    hit = np.abs(g).max(axis=2) > KL_TOL
-                else:
-                    hit = np.abs(g[:, :, 0]) > 0.5
-                xs, zs = np.nonzero(hit & valid)
-                if len(xs):
-                    pairs = _digits(lo + xs, q, w) * q + _digits(zs, q, w) - 1
-                    flat = pairs @ (q * q - 1) ** np.arange(w - 1, -1, -1)
-                    i = int(np.argmin(flat))
-                    if best is None or flat[i] < best[0]:
-                        best = flat[i], pairs[i]
-            if best is not None:
-                witness = error_on(f, n, sites, best[1])
+        subsets, heads, places, tails = _site_tables(q, n, w)
+        # row a K + m of a subset's W: digits a on the subset, codeword m
+        heads = (heads[:, :, None] + q**n * np.arange(K)).reshape(len(subsets), -1)
+        best = None
+        for s0, s1, lo, hi in _chunks(len(subsets), q**w, K * q**n, K * K, cap):
+            ob = (places[s0:s1] @ tails).astype(np.int64)
+            wd = amps[heads[s0:s1, :, None] + ob[:, None, :]]
+            if hi - lo == q**w:
+                lp, valid = _x_class(f, w)
+                # g[s, x, a, m, m'] = G_A[(a + x) K + m, a K + m'] on subset s
+                g = _gram(wd).reshape(s1 - s0, q**w, K, q**w, K).transpose(0, 1, 3, 2, 4)
+                g = g[:, lp, np.arange(q**w)]
+            else:
+                lp, valid = _x_block(f, w, lo, hi)
+                wd = wd.reshape(q**w, K, -1)
+                g = np.matmul(wd.conj()[lp.T].reshape(q**w, (hi - lo) * K, -1),
+                              wd.transpose(0, 2, 1))
+                g = g.reshape(q**w, hi - lo, K, K).transpose(1, 0, 2, 3)
+            # a -> z: g[(s, x), z, m m']
+            g = _z_parts(f, g.reshape(-1, q**w, K * K), w)
+            if scalar:
+                # exactly the entries of G - (tr G / K) I
+                diag = g[:, :, :: K + 1]
+                diag -= diag.sum(axis=2, keepdims=True) / K
+                hit = (np.abs(g) > KL_TOL).any(axis=2)
+            else:
+                hit = np.abs(g[:, :, 0]) > 0.5
+            ss, xs, zs = np.nonzero(hit.reshape(s1 - s0, hi - lo, q**w) & valid)
+            if len(ss):
+                # the first flagged subset of the chunk, as nonzero runs in order
+                first = ss == ss[0]
+                pairs = _digits(lo + xs[first], q, w) * q + _digits(zs[first], q, w) - 1
+                flat = pairs @ (q * q - 1) ** np.arange(w - 1, -1, -1)
+                i = int(np.argmin(flat))
+                if best is None or flat[i] < best[0]:
+                    best = flat[i], pairs[i], s0 + int(ss[0])
+            if best is not None and hi == q**w:
+                witness = error_on(f, n, subsets[best[2]], best[1])
                 c._scans[scalar] = (w - 1, witness)
                 return witness
         c._scans[scalar] = (w, None)
@@ -376,12 +452,16 @@ def _bipartition(state: StateVector, sites) -> np.ndarray:
 def reduced_entropy(state: StateVector, sites) -> float:
     """Von Neumann entropy (bits) of the reduced state on ``sites``.
 
+    The spectrum is that of ``eigvalsh`` of the Gram of the bipartition's
+    smaller side: M M^dagger and M^dagger M share their nonzero
+    eigenvalues, and the smaller Gram costs q^n times its side in
+    multiply-adds, taken in row blocks by ``_gram`` past _PRODUCT_MULADDS.
     Eigenvalues below 1e-12 count as zero, and each is clamped to at most
     1, so that no term -p log2 p is negative: a pure cut, whose one
     eigenvalue may round to just above 1, gives +0.0 (0.0 - x is -x for
     x != 0, where negating 0.0 would give -0.0).
     """
-    sing = np.linalg.svd(_bipartition(state, sites), compute_uv=False)
-    probs = np.minimum(sing**2, 1.0)
-    probs = probs[probs > 1e-12]
-    return 0.0 - float((probs * np.log2(probs)).sum())
+    m = _bipartition(state, sites)
+    gram = _gram(m if m.shape[0] <= m.shape[1] else m.T)
+    probs = [min(p, 1.0) for p in np.linalg.eigvalsh(gram).tolist() if p > 1e-12]
+    return 0.0 - sum(p * math.log2(p) for p in probs)

@@ -1,4 +1,4 @@
-"""Property tests: the oracle's dense action ``_lifted_action`` against the
+"""Property tests: the oracle's dense action ``_lifted_actions`` against the
 Kronecker-built matrices of ``tests/oracles.dense_pauli``, lifted by
 i**tr(a*b) per site when p = 2, and the order p and Hermiticity that the
 eigenspace projector relies on.
@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amecodes.fields import GF
-from amecodes.oracle import DENSE_BUDGET, _lifted_action
+from amecodes.oracle import DENSE_BUDGET, _lifted_actions
 from amecodes.pauli import PauliString
 from oracles import lifted_pauli
 
@@ -58,7 +58,7 @@ def test_dense_action_is_the_kronecker_matrix(op):
         full = lifted_pauli(op.field, op.sites)
         assert np.allclose(image, full @ src, atol=1e-10)
     moved = np.rint(np.abs(image)).astype(np.int64) - 1
-    perm, factor = _lifted_action(op)
+    (perm,), (factor,) = _lifted_actions(op.field, op.n, [op])
     assert np.array_equal(perm[moved], np.arange(dim))
     assert np.allclose(factor[moved], image / (moved + 1), atol=1e-10)
 
@@ -66,7 +66,7 @@ def test_dense_action_is_the_kronecker_matrix(op):
 @SETTINGS
 @given(operators())
 def test_lifted_action_has_order_p(op):
-    perm, factor = _lifted_action(op)
+    (perm,), (factor,) = _lifted_actions(op.field, op.n, [op])
     vec = np.random.default_rng(0).standard_normal(len(perm)) + 0j
     cur = vec
     for _ in range(op.field.p):
@@ -79,6 +79,6 @@ def test_lifted_action_has_order_p(op):
 def test_lifted_action_is_hermitian_for_p_2(op):
     # U[perm[j], j] = factor[j]; U = U^dagger iff perm is an involution and
     # the entry mirrored across the diagonal is the conjugate
-    perm, factor = _lifted_action(op)
+    (perm,), (factor,) = _lifted_actions(op.field, op.n, [op])
     assert np.array_equal(perm[perm], np.arange(len(perm)))
     assert np.allclose(factor[perm], factor.conj(), atol=1e-12)

@@ -201,16 +201,23 @@ def test_grouped_character_products_match_the_per_site_transform(q, monkeypatch)
             np.testing.assert_allclose(got, want.reshape(3, q**w, cols), rtol=0, atol=1e-12 * q**w)
 
 
-def past_the_group(q):
-    """A state on n = g + 1 sites, g = group_size(q), whose first error with
-    |<E>| > 1/2 is the first of weight n, z1 on every site: a random state
-    kept on the +1 eigenspace of that diagonal error."""
-    field, n = GF(q), group_size(q) + 1
+def kept_on(q, n, sites):
+    """A random state on n sites kept on the +1 eigenspace of z1 on
+    ``sites``, so that error and its powers have |<E>| = 1 while a random
+    error's expectation stays far below 1/2."""
+    field = GF(q)
     rng = np.random.default_rng(q)
     v = rng.normal(size=q**n) + 1j * rng.normal(size=q**n)
-    phase = field.trmul_table[1][oracle._digits(np.arange(q**n), q, n)].sum(axis=1) % field.p
-    v[phase != 0] = 0
+    digits = oracle._digits(np.arange(q**n), q, n)[:, list(sites)]
+    v[field.trmul_table[1][digits].sum(axis=1) % field.p != 0] = 0
     return CodewordSet(field, n, (StateVector(field, n, v / np.linalg.norm(v)),))
+
+
+def past_the_group(q):
+    """A state on n = g + 1 sites, g = group_size(q), whose first error with
+    |<E>| > 1/2 is the first of weight n, z1 on every site."""
+    n = group_size(q) + 1
+    return kept_on(q, n, range(n))
 
 
 @pytest.mark.parametrize("q", [q for q, _ in SIZES])
@@ -225,12 +232,35 @@ def test_scan_past_the_character_group_matches_the_per_error_walk(q):
             assert oracle._first_error(fresh(c), c.n, False) == want, block
 
 
+# n per q of SIZES with at least 6 site pairs, so that the last pair lies
+# in the third or a later chunk
+LAST_PAIR_N = {2: 7, 3: 5, 5: 4, 4: 4}
+
+
+@pytest.mark.parametrize("q", [q for q, _ in SIZES])
+def test_witness_on_the_last_subset_of_its_class_matches_the_per_error_walk(q):
+    # z1 z1 on the last two sites: every earlier chunk of weight-2 subsets is
+    # scanned and flags nothing, and the witness lies in the last chunk,
+    # which holds more than one subset under the default block size
+    n = LAST_PAIR_N[q]
+    c = kept_on(q, n, (n - 2, n - 1))
+    want = reference_first_error(c, 2, False)
+    assert want is not None
+    assert [s for s, pair in enumerate(want.sites) if pair != (0, 0)] == [n - 2, n - 1]
+    pairs = n * (n - 1) // 2
+    chunks = list(oracle._chunks(pairs, q**2, q**n, 1, max(oracle._BLOCK_ENTRIES, q**n + 1)))
+    s0, s1 = chunks[-1][:2]
+    assert len(chunks) >= 3 and (s0, s1) == (chunks[-2][1], pairs) and s1 - s0 > 1
+    for block in BLOCKS:
+        with mock.patch.object(oracle, "_BLOCK_ENTRIES", block):
+            assert oracle._first_error(fresh(c), 2, False) == want, block
+
+
 @pytest.mark.parametrize("entry", DENSE_CODES, ids=lambda e: e.id)
 def test_knill_laflamme_after_the_distance_scans_no_subset(entry, monkeypatch):
     c = expand_stabilizer(load_table(entry))
     want = [knill_laflamme_check(fresh(c), d) for d in (entry.d, entry.d + 1)]
-    # the probe is the Z-part transform, one call per block of each subset
-    # scanned (the X-part tables of a one-block class are memoised)
+    # the probe is the Z-part transform, one call per chunk scanned
     calls = []
     z_parts = oracle._z_parts
     monkeypatch.setattr(oracle, "_z_parts", lambda *args: calls.append(args) or z_parts(*args))
@@ -257,3 +287,22 @@ def test_scan_to_weight_n_stays_within_a_few_blocks():
         tracemalloc.stop()
     block_bytes = 16 * max(oracle._BLOCK_ENTRIES, c.K * field.q**n + c.K**2)
     assert peak < 8 * block_bytes, peak
+
+
+def test_gram_scan_to_weight_4_stays_within_a_few_blocks():
+    # no error of weight <= 4 has |<w_0|E|w_0>| > 1/2 on a random 2-dimensional
+    # subspace of 10 qubits, so the scan visits every subset of weights 1-4, in
+    # chunks of whole subsets, as each one's Gram, 2^(2w) K^2 entries, fits
+    field, n, K = GF(2), 10, 2
+    rng = np.random.default_rng(1)
+    basis = np.linalg.qr(rng.normal(size=(2**n, K)) + 1j * rng.normal(size=(2**n, K)))[0]
+    c = CodewordSet(field, n, tuple(StateVector(field, n, b) for b in basis.T))
+    entries = max(oracle._BLOCK_ENTRIES, K * 2**n + K * K)
+    assert 2 ** (2 * 4) * K * K <= entries
+    tracemalloc.start()
+    try:
+        assert oracle._first_error(c, 4, False) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 16 * entries, peak

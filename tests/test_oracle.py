@@ -15,6 +15,7 @@ from amecodes.oracle import (CodewordSet, ame_projection_codewords, dense_distan
                              expand_stabilizer, knill_laflamme_check, reduced_entropy)
 from amecodes.pauli import PauliString, StateVector
 from oracles import all_errors, dense_pauli
+from test_dense_scan_properties import SIZES
 
 LOG2_3 = math.log2(3)
 
@@ -113,7 +114,7 @@ def test_any_generating_set_gives_a_q_to_the_k_code_space(table, seed):
     cw = expand_stabilizer(mixed)
     assert cw.K == f.q**table.k
     for g in mixed.gens:
-        perm, factor = oracle._lifted_action(g)
+        (perm,), (factor,) = oracle._lifted_actions(g.field, g.n, [g])
         for w in cw.words:
             image = np.zeros_like(w.amplitudes)
             image[perm] = factor * w.amplitudes
@@ -165,7 +166,7 @@ def test_expand_skips_seeds_that_a_z_only_generator_zeroes(monkeypatch):
     assert cw.K == 3
     assert len(calls) == 6
     for g in t.gens:
-        perm, factor = oracle._lifted_action(g)
+        (perm,), (factor,) = oracle._lifted_actions(g.field, g.n, [g])
         for w in cw.words:
             image = np.zeros_like(w.amplitudes)
             image[perm] = factor * w.amplitudes
@@ -272,6 +273,39 @@ def test_product_states_have_nonnegative_entropy_on_every_cut(v):
     for sites in ([0], [1], [0, 1]):
         got = reduced_entropy(psi, sites)
         assert 0.0 <= got < 1e-9 and math.copysign(1.0, got) == 1.0, (sites, got)
+
+
+def svd_entropy(amps, q, n, sites):
+    """The entropy on ``sites`` from the singular values of the bipartition,
+    with reduced_entropy's clamp to 1 and its 1e-12 floor."""
+    rest = [s for s in range(n) if s not in sites]
+    m = np.transpose(amps.reshape([q] * n), list(sites) + rest).reshape(q ** len(sites), -1)
+    probs = np.minimum(np.linalg.svd(m, compute_uv=False) ** 2, 1.0)
+    probs = probs[probs > 1e-12]
+    return 0.0 - float((probs * np.log2(probs)).sum())
+
+
+# with q^n = 4096 the half cuts' Gram takes more than one product
+@pytest.mark.parametrize("q, n", SIZES + [(2, 12), (4, 6), (8, 4)])
+def test_reduced_entropy_matches_the_singular_values_on_every_cut(q, n):
+    # every cut size, so that the smaller side is the subset or the rest; a
+    # product across the cut is pure on it, where the entropy is +0.0 up to
+    # the rounding of its one eigenvalue below 1
+    field, rng = GF(q), np.random.default_rng(q * 100 + n)
+
+    def unit(size):
+        v = rng.normal(size=size) + 1j * rng.normal(size=size)
+        return v / np.linalg.norm(v)
+
+    for size in range(1, n):
+        sites = sorted(rng.choice(n, size, replace=False).tolist())
+        order = sites + [s for s in range(n) if s not in sites]
+        product = np.transpose(np.outer(unit(q**size), unit(q ** (n - size))).reshape([q] * n),
+                               np.argsort(order)).ravel()
+        for amps in (unit(q**n), product):
+            got = reduced_entropy(StateVector(field, n, amps), sites)
+            assert got == pytest.approx(svd_entropy(amps, q, n, sites), abs=1e-12), (sites, got)
+        assert 0.0 <= got < 1e-12 and math.copysign(1.0, got) == 1.0, (sites, got)
 
 
 def test_bipartition_rejects_sites_out_of_range():

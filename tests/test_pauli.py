@@ -5,7 +5,7 @@ import pytest
 
 from amecodes.errors import DomainError
 from amecodes.fields import GF
-from amecodes.oracle import _lifted_action
+from amecodes.oracle import _lifted_actions
 from amecodes.pauli import (PauliString, StateVector, emit_site_token, enumerate_errors,
                             error_count, parse_site_token)
 
@@ -127,7 +127,7 @@ def test_matrix_faithfulness_small_fields():
 
 
 def apply_dense(op, amps):
-    perm, factor = _lifted_action(op)
+    (perm,), (factor,) = _lifted_actions(op.field, op.n, [op])
     out = np.zeros_like(amps)
     out[perm] = factor * amps
     return out
